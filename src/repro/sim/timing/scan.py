@@ -25,19 +25,30 @@ Two exact reductions make that possible:
   ``dispatch_{j+1} = finish_j + penalty``, an upper bound of every
   clamped entry), so ``start_i = dispatch_i``; otherwise no clamp was
   live in the window and ``start_i = max(dispatch_i, commit_{i-N})``.
-  The window condition is one cumulative-sum mask.
+  The window is scattered from the mispredict positions as a ``-inf``
+  unit operand on the ``N`` steps after each one.
 
-* **Chunked scan.** With state vector ``(dispatch, finish, commit,
-  commit_{last N steps})`` each task is a max-plus matrix. Composing
-  ``K`` of them per chunk *columnwise across all chunks at once* (pass
-  1), propagating chunk-entry states sequentially (pass 2, ``n/K`` cheap
-  steps), then re-running values inside chunks (pass 3) costs
-  ``O(n * (3+N))`` numpy work with only ``K + n/K + K`` Python
-  iterations — minimised at ``K ≈ sqrt(n)``.
+* **Chunked scan.** With the ``2+N``-wide state vector ``(dispatch,
+  finish, unit_0 .. unit_{N-1})`` each task is a max-plus matrix. The
+  commit time needs no component of its own: it always equals the unit
+  slot written last. Composing ``K`` steps per chunk *columnwise across
+  all chunks at once* (pass 1), propagating chunk-entry states
+  sequentially (pass 2, ``n/K`` cheap steps), then re-running values
+  inside chunks (pass 3) costs ``O(n * (2+N))`` numpy work with only
+  ``K + n/K + K`` Python iterations — minimised near ``K ≈ sqrt(n/6)``.
+
+The per-task operands are laid out *step-major*: one ``(K, n/K)`` block
+per operand, so step ``k`` of every chunk is one contiguous row, and
+every pass-1 and pass-3 ufunc writes into a preallocated buffer. Both
+passes run the same step on different views: coefficient blocks of shape
+``(2+N, n/K)`` in pass 1, value rows in pass 3. On a 300k-task Table 4
+cell (4 units, ``K = 224``; 2-CPU x86 host, numpy 2.4) a call takes about
+35 ms: set-up 10, pass 1 13, pass 2 6, pass 3 5, stall gather 1.
 
 The scan is validated bit-identical to the stepped reference over every
 predictor scheme and several ring/penalty configurations by
-``tests/test_sim_timing_vectorized.py``.
+``tests/test_sim_timing_vectorized.py``, and against a plain stepped
+ring on generated traces by ``tests/test_property_timing_scan.py``.
 """
 
 from __future__ import annotations
@@ -54,19 +65,13 @@ CODE_GATED = 1
 CODE_MISPREDICT = 2
 
 
-def mispredict_window_mask(codes: np.ndarray, n_units: int) -> np.ndarray:
-    """True where any of the previous ``n_units`` steps mispredicted.
+def _chunk_length(n: int, n_units: int) -> int:
+    """Steps per chunk: near ``sqrt(n/6)`` and a multiple of ``n_units``.
 
-    This is the ring-elimination condition: inside the mask the unit-free
-    time is dominated by the dispatch chain, outside it the unit frees
-    exactly at ``commit_{i-n_units}``.
+    The multiple keeps the unit-slot rotation aligned at chunk
+    boundaries.
     """
-    n = len(codes)
-    mispredicts = (codes == CODE_MISPREDICT).astype(np.int64)
-    cumulative = np.concatenate(([0], np.cumsum(mispredicts)))
-    positions = np.arange(n)
-    window_lo = np.maximum(positions - n_units, 0)
-    return (cumulative[positions] - cumulative[window_lo]) > 0
+    return max(int(round((n / 6) ** 0.5)) // n_units * n_units, n_units)
 
 
 def max_plus_timing_scan(
@@ -90,138 +95,106 @@ def max_plus_timing_scan(
         return 0, 0
     ring = int(n_units)
     d_step = np.int64(dispatch_interval)
-    penalty = np.int64(mispredict_penalty)
     c_step = np.int64(commit_interval)
-    masked = mispredict_window_mask(codes, ring)
-
-    # Chunk geometry: K a multiple of n_units (the unit-slot rotation
-    # must stay aligned at chunk boundaries), sized near sqrt(n).
-    chunk = int(round((n / 6) ** 0.5)) // ring * ring
-    chunk = max(chunk, ring)
+    chunk = _chunk_length(n, ring)
     n_chunks = -(-n // chunk)
-    padded = n_chunks * chunk
-    state_dim = 3 + ring  # (dispatch, finish, commit, u_0 .. u_{N-1})
+    full = n // chunk  # chunks without tail padding
 
-    # Padding steps are exact no-ops: exec = -inf kills the start term,
-    # zero forward/commit/dispatch increments freeze the chains, and the
-    # mask guards the unit term against sentinel arithmetic.
-    exec_col = np.full(padded, _NEG, dtype=np.int64)
-    exec_col[:n] = exec_cycles
-    forward_col = np.zeros(padded, dtype=np.int64)
-    forward_col[:n] = forward_stalls
-    code_col = np.full(padded, CODE_CORRECT, dtype=np.int64)
-    code_col[:n] = codes
-    mask_col = np.ones(padded, dtype=bool)
-    mask_col[:n] = masked
-    commit_step_col = np.zeros(padded, dtype=np.int64)
-    commit_step_col[:n] = c_step
-    dispatch_step_col = np.zeros(padded, dtype=np.int64)
-    dispatch_step_col[:n] = d_step
+    # Per-task operands. ``exec_unit`` is -inf on the ring steps after
+    # a mispredict (ring elimination). The dispatch update is
+    # max(dispatch + advance, finish + redirect) with exactly one finite
+    # operand: advance on a correct prediction, redirect otherwise. The
+    # finite term keeps every pass-1 coefficient at or above _NEG, so no
+    # coefficient plus operand wraps.
+    missed = np.flatnonzero(codes == CODE_MISPREDICT)
+    correct = codes == CODE_CORRECT
+    exec_unit = np.array(exec_cycles, dtype=np.int64)
+    for offset in range(1, ring + 1):
+        window = missed + offset
+        exec_unit[window[window < n]] = _NEG
+    advance = np.where(correct, d_step, _NEG)
+    redirect = np.where(correct, _NEG, np.int64(0))
+    redirect[missed] = mispredict_penalty
 
-    # Per-step derived columns, computed once so the scan loops touch the
-    # minimum operation count. ``exec_unit_col`` folds the window mask
-    # into the unit term (masked steps contribute -inf); ``penalty_col``
-    # folds the outcome codes into the dispatch update.
-    exec_unit_col = np.where(mask_col, _NEG, exec_col)
-    correct_col = code_col == CODE_CORRECT
-    penalty_col = np.where(
-        code_col == CODE_MISPREDICT, penalty, np.int64(0)
-    )
+    # Step-major layout: row k of a block is step k of every chunk. The
+    # last chunk's tail padding is zero; no result reads it back.
+    tail = n - full * chunk
+    blocks = np.empty((5, chunk, n_chunks), dtype=np.int64)
+    blocks[:, tail:, full:] = 0
+    columns = (exec_cycles, exec_unit, forward_stalls, advance, redirect)
+    for block, column in zip(blocks, columns):
+        block[:, :full] = column[: full * chunk].reshape(full, chunk).T
+        block[:tail, full:] = column[full * chunk:, None]
+    exec_b, exec_unit_b, forward_b, advance_b, redirect_b = blocks
 
-    shape_2d = (n_chunks, chunk)
-
-    def cols(values: np.ndarray, width: int) -> list[np.ndarray]:
-        # Pre-sliced per-step views: list indexing inside the scan loops
-        # is much cheaper than repeated 2-D slicing.
-        grid = values.reshape(n_chunks, chunk, 1)
-        if width == 1:
-            return [grid[:, k] for k in range(chunk)]
-        return [grid[:, k, 0] for k in range(chunk)]
-
-    exec_b, exec_unit_b = cols(exec_col, 1), cols(exec_unit_col, 1)
-    forward_b = cols(forward_col, 1)
-    commit_step_b = cols(commit_step_col, 1)
-    dispatch_step_b = cols(dispatch_step_col, 1)
-    correct_b, penalty_b = cols(correct_col, 1), cols(penalty_col, 1)
+    def step(
+        k, dispatch, finish, unit_free, last_commit,
+        new_dispatch, new_finish, new_commit, t1, t2,
+    ) -> None:
+        # Ordered so each output may alias its input (pass 1 updates in
+        # place): every input is read before its alias is written.
+        np.add(finish, forward_b[k], out=t1)
+        np.add(unit_free, exec_unit_b[k], out=t2)
+        np.maximum(t1, t2, out=t1)
+        np.add(dispatch, exec_b[k], out=new_finish)
+        np.maximum(new_finish, t1, out=new_finish)
+        np.add(last_commit, c_step, out=new_commit)
+        np.maximum(new_commit, new_finish, out=new_commit)
+        np.add(dispatch, advance_b[k], out=new_dispatch)
+        np.add(new_finish, redirect_b[k], out=t1)
+        np.maximum(new_dispatch, t1, out=new_dispatch)
 
     # Pass 1: compose each chunk's max-plus coefficients, columnwise
-    # across all chunks. coef[j] maps entry-state component j to the
-    # output; a "unit vector" is the max-plus identity row.
-    def unit(component: int) -> np.ndarray:
-        row = np.full((n_chunks, state_dim), _NEG, dtype=np.int64)
-        row[:, component] = 0
-        return row
-
-    coef_d, coef_f, coef_c = unit(0), unit(1), unit(2)
-    unit_coefs = [unit(3 + slot) for slot in range(ring)]
+    # across all chunks. coef[i, j, c] maps entry component j of chunk c
+    # to component i; the identity has zeros on the diagonal.
+    state_dim = 2 + ring  # (dispatch, finish, unit_0 .. unit_{N-1})
+    coef = np.full((state_dim, state_dim, n_chunks), _NEG, dtype=np.int64)
+    diagonal = np.arange(state_dim)
+    coef[diagonal, diagonal] = 0
+    t1 = np.empty((state_dim, n_chunks), dtype=np.int64)
+    t2 = np.empty_like(t1)
+    dispatch, finish, units = coef[0], coef[1], coef[2:]
     for k in range(chunk):
-        slot = k % ring
-        new_f = np.maximum(
-            np.maximum(
-                coef_d + exec_b[k], unit_coefs[slot] + exec_unit_b[k]
-            ),
-            coef_f + forward_b[k],
+        unit = units[k % ring]
+        step(
+            k, dispatch, finish, unit, units[k % ring - 1],
+            dispatch, finish, unit, t1, t2,
         )
-        new_c = np.maximum(new_f, coef_c + commit_step_b[k])
-        new_d = np.where(
-            correct_b[k],
-            coef_d + dispatch_step_b[k],
-            new_f + penalty_b[k],
-        )
-        coef_d, coef_f, coef_c = new_d, new_f, new_c
-        unit_coefs[slot] = new_c
 
     # Pass 2: propagate the entry state of each chunk sequentially.
-    coefs = np.stack([coef_d, coef_f, coef_c] + unit_coefs, axis=1)
-    mats = list(coefs)
-    states = np.empty((n_chunks + 1, state_dim), dtype=np.int64)
+    mats = coef.transpose(2, 0, 1).copy()
+    states = np.empty((n_chunks, state_dim), dtype=np.int64)
     states[0] = 0
     scratch = np.empty((state_dim, state_dim), dtype=np.int64)
-    for chunk_index, mat in enumerate(mats):
-        np.add(mat, states[chunk_index], out=scratch)
+    for chunk_index in range(n_chunks - 1):
+        np.add(mats[chunk_index], states[chunk_index], out=scratch)
         scratch.max(axis=1, out=states[chunk_index + 1])
 
-    # Pass 3: re-run the recurrence on values inside every chunk at once
-    # to recover the per-step dispatch/finish needed for stall accounting.
-    exec_v, exec_unit_v = cols(exec_col, 0), cols(exec_unit_col, 0)
-    forward_v = cols(forward_col, 0)
-    commit_step_v = cols(commit_step_col, 0)
-    dispatch_step_v = cols(dispatch_step_col, 0)
-    correct_v, penalty_v = cols(correct_col, 0), cols(penalty_col, 0)
-    dispatch = states[:n_chunks, 0].copy()
-    finish = states[:n_chunks, 1].copy()
-    commit = states[:n_chunks, 2].copy()
-    unit_vals = [states[:n_chunks, 3 + slot].copy() for slot in range(ring)]
-    finish_all = np.empty(shape_2d, dtype=np.int64)
-    dispatch_all = np.empty(shape_2d, dtype=np.int64)
+    # Pass 3: re-run the recurrence on values inside every chunk at once,
+    # keeping each step's dispatch for stall accounting.
+    dispatches = np.empty((chunk + 1, n_chunks), dtype=np.int64)
+    dispatches[0] = states[:, 0]
+    finish, new_finish = states[:, 1].copy(), np.empty(n_chunks, np.int64)
+    units = states[:, 2:].T.copy()
+    r1, r2 = np.empty(n_chunks, np.int64), np.empty(n_chunks, np.int64)
+    last = (n - 1) % chunk
+    total_cycles = 0
     for k in range(chunk):
-        slot = k % ring
-        dispatch_all[:, k] = dispatch
-        new_f = np.maximum(
-            np.maximum(
-                dispatch + exec_v[k], unit_vals[slot] + exec_unit_v[k]
-            ),
-            finish + forward_v[k],
+        unit = units[k % ring]
+        step(
+            k, dispatches[k], finish, unit, units[k % ring - 1],
+            dispatches[k + 1], new_finish, unit, r1, r2,
         )
-        new_c = np.maximum(new_f, commit + commit_step_v[k])
-        new_d = np.where(
-            correct_v[k], dispatch + dispatch_step_v[k], new_f + penalty_v[k]
-        )
-        finish_all[:, k] = new_f
-        dispatch, finish, commit = new_d, new_f, new_c
-        unit_vals[slot] = new_c
+        finish, new_finish = new_finish, finish
+        if k == last:
+            total_cycles = int(unit[-1])
 
-    total_cycles = int(states[n_chunks, 2])
-    finish_flat = finish_all.reshape(-1)[:n]
-    dispatch_flat = dispatch_all.reshape(-1)[:n]
-    missed = codes == CODE_MISPREDICT
+    # A mispredict's stall is how far its restart (the next dispatch)
+    # lands beyond the dispatch a correct prediction would have allowed.
+    chunk_of, step_of = np.divmod(missed, chunk)
+    at = step_of * n_chunks + chunk_of
+    flat = dispatches.reshape(-1)
     stalls = int(
-        np.maximum(
-            0,
-            finish_flat[missed]
-            + penalty
-            - dispatch_flat[missed]
-            - d_step,
-        ).sum()
+        np.maximum(0, flat[at + n_chunks] - flat[at] - d_step).sum()
     )
     return total_cycles, stalls
