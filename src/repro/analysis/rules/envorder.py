@@ -1,14 +1,15 @@
 """ENV rules: fault/checkpoint env-var handoff ordering.
 
-Pooled runs hand two pieces of state to subprocess workers through the
-environment: the fault plan (``REPRO_FAULTS``) and the checkpoint
-directory (``REPRO_CHECKPOINT_DIR``). ``ProcessPoolExecutor`` workers
-inherit the parent's environment when they are *spawned* — at the first
-submit — so both variables must be armed before any submission, stay
-untouched while the pool is live, and be restored only after the last
-submission. Mutating them mid-fan-out gives different workers different
-plans (a nondeterministic sweep), and arming without restoring leaks
-the handoff into every later run in the same process.
+Runs with ``--jobs N`` hand two pieces of state to their worker
+processes through the environment: the fault plan (``REPRO_FAULTS``)
+and the checkpoint directory (``REPRO_CHECKPOINT_DIR``). A worker
+snapshots the parent's environment when it is created — at each
+``os.fork`` of a local run, or at an executor's first submit — so both
+variables must be armed before the fan-out, stay untouched while
+workers are live, and be restored only after the last one is created.
+Mutating them mid-fan-out gives different workers different plans (a
+nondeterministic sweep), and arming without restoring leaks the handoff
+into every later run in the same process.
 
 * **ENV001** — a handoff variable is mutated on a CFG path *between*
   executor submissions (a submit happened before, another is still
@@ -55,8 +56,8 @@ _ARMING_ALLOWED = (
     "evalx.tune",
 )
 
-#: Calls that fan work out to pool workers.
-_SUBMIT_NAMES = frozenset({"submit", "execute_cells"})
+#: Calls that create workers holding a snapshot of the environment.
+_SUBMIT_NAMES = frozenset({"fork", "submit", "execute_cells"})
 
 _SUBMITTED = "<submitted>"
 _SAVED = "saved-env"
@@ -214,11 +215,12 @@ class HandoffMutatedMidFanout(_ENVRule):
     id = "ENV001"
     title = "env handoff mutated between executor submissions"
     rationale = (
-        "Spawned pool workers snapshot the environment at submission; "
-        "changing REPRO_FAULTS/REPRO_CHECKPOINT_DIR after one submit "
-        "and before another hands different workers different plans — "
-        "a nondeterministic sweep. Arm the handoff once before the "
-        "first submit and restore it only after the last."
+        "Workers snapshot the environment when they are forked or "
+        "submitted to; changing REPRO_FAULTS/REPRO_CHECKPOINT_DIR after "
+        "one fan-out call and before another hands different workers "
+        "different plans — a nondeterministic sweep. Arm the handoff "
+        "once before the first fan-out and restore it only after the "
+        "last."
     )
 
     def check_module(

@@ -53,7 +53,7 @@ RELEASED = "released"
 
 #: The in-process cell executors; running one starts the window in
 #: which the heartbeat may declare the lease lost.
-_EXEC_NAMES = frozenset({"_run_cell_instrumented"})
+_EXEC_NAMES = frozenset({"run_attempts", "_run_cell_instrumented"})
 
 
 def _own_calls(fn: ast.AST) -> Iterator[ast.Call]:

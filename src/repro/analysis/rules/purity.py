@@ -1,13 +1,14 @@
 """PUR rules: worker-purity race detector for cell callables.
 
-The parallel engine pickles each :class:`~repro.evalx.parallel.Cell`'s
-``fn`` by reference and runs it in worker processes. Two things break
-that contract:
+The parallel engine runs each :class:`~repro.evalx.parallel.Cell`'s
+``fn`` in worker processes, and the queue manifest those workers (and
+sweep-service workers on other hosts) lease from pickles it by
+reference. Two things break that contract:
 
 * **Shared mutable module state** (PUR001). A module-level dict/list/set
   written by code reachable from a cell function diverges between the
   serial path (one process, writes accumulate across cells) and the
-  pooled path (each worker has its own copy) — and under a future
+  ``--jobs N`` path (each worker has its own copy) — and under a future
   thread-based executor it would be a data race outright. The detector
   builds a call graph seeded at every function passed as a Cell's ``fn``
   and flags module-level mutable globals that reachable code mutates.
@@ -361,7 +362,7 @@ class UnpicklableCellCallable(Rule):
     id = "PUR002"
     title = "Cell fn is not picklable by reference"
     rationale = (
-        "ProcessPoolExecutor pickles cell functions by module-qualified "
+        "The queue manifest pickles cell functions by module-qualified "
         "name; lambdas and functions nested inside other functions have "
         "no importable name, so --jobs N crashes where serial runs pass. "
         "Cell fns must be module-level."

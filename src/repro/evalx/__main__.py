@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from pathlib import Path
@@ -142,8 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         "--cell-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
         help=(
-            "per-cell wall-clock deadline (pooled runs only); a cell "
-            "over it counts as failed"
+            "per-cell wall-clock deadline (--jobs 2 or more only); the "
+            "worker running a cell past it is killed and the attempt "
+            "counts as failed"
         ),
     )
     parser.add_argument(
@@ -219,8 +221,21 @@ def main(argv: list[str] | None = None) -> int:
             args.checkpoint_dir, resume=args.resume
         )
     if args.inject_faults:
+        # Victims are drawn from the cell labels of the selected grids
+        # (legacy monolithic drivers expose no cells to target).
+        modules = [
+            importlib.import_module(f"repro.evalx.experiments.{e}")
+            for e in ids
+        ]
         _install_fault_plan(
-            args.inject_faults, args.fault_seed, ids, args
+            args.inject_faults,
+            args.fault_seed,
+            [
+                cell.label
+                for module in modules
+                if hasattr(module, "cells")
+                for cell in module.cells(n_tasks=args.tasks, quick=args.quick)
+            ],
         )
 
     retry = RetryPolicy(
@@ -285,31 +300,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _install_fault_plan(spec, seed, ids, args) -> None:
-    """Compile the ``--inject-faults`` spec and arm the injector.
+def _install_fault_plan(spec: str, seed: int, labels: list[str]) -> None:
+    """Compile the ``--inject-faults`` spec against cell labels and arm
+    the injector.
 
-    The plan's victims are chosen from the cell labels of the selected
-    cell-grid experiments (legacy monolithic drivers expose no cells and
-    can't be targeted). Installation publishes the plan through the
-    :data:`repro.evalx.faults.ENV_VAR` environment variable so pool
+    Installation publishes the plan through the
+    :data:`repro.evalx.faults.ENV_VAR` environment variable, so forked
     workers inherit it.
     """
-    import importlib
-
     from repro.evalx import faults
 
-    labels: list[str] = []
-    for experiment_id in ids:
-        module = importlib.import_module(
-            f"repro.evalx.experiments.{experiment_id}"
-        )
-        if hasattr(module, "cells"):
-            labels.extend(
-                cell.label
-                for cell in module.cells(
-                    n_tasks=args.tasks, quick=args.quick
-                )
-            )
     plan = faults.FaultPlan.compile(spec, seed=seed, labels=labels)
     faults.install(plan)
     print(

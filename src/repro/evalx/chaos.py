@@ -1,5 +1,11 @@
 """``repro-chaos``: deterministic chaos campaigns for the sweep service.
 
+The service's lease queue also runs every local ``--jobs N`` sweep
+(:mod:`repro.evalx.service.local`), so the campaign covers both: the
+service scenarios drive coordinator and worker processes over a shared
+tree, and the ``local-*`` scenarios drive the ``python -m repro.evalx``
+CLI itself.
+
 The service's robustness claims — lease steal, poison-cell quarantine,
 coordinator crash recovery, typed terminal states, zombie-publication
 guards — are each backed by unit tests, but unit tests exercise one
@@ -45,6 +51,8 @@ Scenarios (``--scenarios all`` runs the lot, in this order)::
     deadline-expiry            job past its deadline retires, typed
     cancel-mid-flight          cancelled job stops work, typed
     two-tenant-interference    tenant A's poison never bleeds into B
+    local-kill-resume          SIGKILLed --jobs 2 run: no orphans, resumes
+    local-corrupt-record       damaged record detected, only it re-runs
 """
 
 from __future__ import annotations
@@ -105,6 +113,17 @@ class Scenario:
         suffix = f" ({detail})" if detail and not ok else ""
         print(f"  {status} {name}{suffix}", flush=True)
         return bool(ok)
+
+    def expect_job_error(self, name: str, call, needle: str = "") -> None:
+        """Check that ``call()`` raises a typed JobError naming ``needle``."""
+        try:
+            call()
+        except JobError as exc:
+            self.check(name, needle in str(exc), str(exc))
+        except Exception as exc:
+            self.check(name, False, repr(exc))
+        else:
+            self.check(name, False, "returned normally")
 
     @property
     def ok(self) -> bool:
@@ -199,6 +218,10 @@ def _service_cmd(*args: str) -> list[str]:
     return [sys.executable, "-m", "repro.evalx.service", *args]
 
 
+def _evalx_cmd(*args: str) -> list[str]:
+    return [sys.executable, "-m", "repro.evalx", *args]
+
+
 def _run_service(*args: str, timeout: float = 300.0):
     return subprocess.run(
         _service_cmd(*args),
@@ -207,6 +230,24 @@ def _run_service(*args: str, timeout: float = 300.0):
         text=True,
         timeout=timeout,
     )
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """Pids in a process group that have not exited (Linux ``/proc``).
+
+    Zombies count as exited: they run nothing, whether or not whoever
+    adopted them has reaped them yet.
+    """
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # After the parenthesised command: state, ppid, pgrp, ...
+            fields = stat.read_text().rsplit(")", 1)[-1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
 
 
 def _wait(condition, timeout: float = WAIT_SECONDS) -> bool:
@@ -238,7 +279,8 @@ def _leases_stealable(scenario: Scenario) -> bool:
     return True
 
 
-def _lease_events(path: Path) -> list[dict]:
+def _events(path: Path, kind: str) -> list[dict]:
+    """The metrics records of one ``event`` kind in a JSONL file."""
     events = []
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -249,7 +291,7 @@ def _lease_events(path: Path) -> list[dict]:
             event = json.loads(line)
         except ValueError:
             continue
-        if event.get("event") == "lease":
+        if event.get("event") == kind:
             events.append(event)
     return events
 
@@ -290,7 +332,8 @@ def _check_identical(
     experiment: str = "table2",
     **kwargs,
 ) -> None:
-    """Fetch a done job and compare it to the serial ground truth."""
+    """Finalise, fetch a done job, and compare it to the serial run."""
+    Coordinator(scenario.dir).run_once()
     jobs = JobStore(scenario.dir)
     record = jobs.get(job_id)
     if not scenario.check(
@@ -335,10 +378,9 @@ def scenario_kill_worker_mid_lease(
     )
     survivor_metrics = scenario.dir / "survivor.jsonl"
     _serve_clean(scenario, "survivor", survivor_metrics)
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_id)
     completions: dict[str, int] = {}
-    for event in _lease_events(survivor_metrics):
+    for event in _events(survivor_metrics, "lease"):
         if event.get("action") == "completed":
             fingerprint = event.get("fingerprint", "?")
             completions[fingerprint] = completions.get(fingerprint, 0) + 1
@@ -392,7 +434,6 @@ def scenario_kill_coordinator_mid_expand(
         ).cells),
     )
     _serve_clean(scenario, "w1")
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_id)
 
 
@@ -422,7 +463,6 @@ def scenario_kill_coordinator_mid_finalise(
         "record still running (the torn state)",
         jobs.get(job_id).state == "running",
     )
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_id)
 
 
@@ -491,7 +531,7 @@ def scenario_hang_steal_zombie(
     )
     zombie_actions = [
         event.get("action")
-        for event in _lease_events(victim_metrics)
+        for event in _events(victim_metrics, "lease")
         if event.get("fingerprint") == target.fingerprint
     ]
     scenario.check(
@@ -500,7 +540,6 @@ def scenario_hang_steal_zombie(
         and "abandoned" in zombie_actions,
         f"actions={zombie_actions}",
     )
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_id)
 
 
@@ -530,12 +569,11 @@ def scenario_corrupt_lease(
     worker_metrics = scenario.dir / "worker.jsonl"
     _serve_clean(scenario, "w1", worker_metrics)
     steals = [
-        event for event in _lease_events(worker_metrics)
+        event for event in _events(worker_metrics, "lease")
         if event.get("action") == "steal"
         and event.get("fingerprint") == target.fingerprint
     ]
     scenario.check("damaged claim was stolen", len(steals) == 1)
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_id)
 
 
@@ -557,23 +595,15 @@ def scenario_corrupt_job_record(
         )
     )
     faults.corrupt_file(jobs.path_for(job_b))
-    try:
-        jobs.get(job_b)
-        scenario.check("damaged record raises a typed JobError", False,
-                       "get() returned normally")
-    except JobError:
-        scenario.check("damaged record raises a typed JobError", True)
-    except Exception as exc:
-        scenario.check(
-            "damaged record raises a typed JobError", False, repr(exc)
-        )
+    scenario.expect_job_error(
+        "damaged record raises a typed JobError", lambda: jobs.get(job_b)
+    )
     scenario.check(
         "status CLI survives the damaged record",
         service_main(["status", "--dir", str(scenario.dir)]) == 0,
     )
     Coordinator(scenario.dir).run_once()
     _serve_clean(scenario, "w1")
-    Coordinator(scenario.dir).run_once()
     _check_identical(campaign, scenario, job_a)
 
 
@@ -591,16 +621,10 @@ def scenario_corrupt_result(
         jobs.get(job_id).state == "done",
     )
     faults.corrupt_file(jobs.result_path(job_id))
-    try:
-        jobs.fetch(job_id)
-        scenario.check("damaged result raises a typed JobError", False,
-                       "fetch() returned normally")
-    except JobError:
-        scenario.check("damaged result raises a typed JobError", True)
-    except Exception as exc:
-        scenario.check(
-            "damaged result raises a typed JobError", False, repr(exc)
-        )
+    scenario.expect_job_error(
+        "damaged result raises a typed JobError",
+        lambda: jobs.fetch(job_id),
+    )
     coordinator = Coordinator(scenario.dir)
     counts = coordinator.reconcile()
     scenario.check(
@@ -610,6 +634,25 @@ def scenario_corrupt_result(
     )
     coordinator.run_once()
     _check_identical(campaign, scenario, job_id)
+
+
+def _doomed_worker(
+    scenario: Scenario, generation: int, max_lease_attempts: int
+) -> bool:
+    """Run a worker that dies on every lease of ``gcc``; did it die so?"""
+    run = _run_service(
+        "worker", "--dir", str(scenario.dir),
+        "--worker-id", f"doomed-{generation}",
+        "--ttl", "0.4", "--poll", "0.05",
+        "--max-lease-attempts", str(max_lease_attempts),
+        "--inject-faults", "kill-worker@gcc~0",
+        "--fault-seed", str(scenario.seed),
+    )
+    return scenario.check(
+        f"lease generation {generation} killed its worker",
+        run.returncode == faults.KILL_EXIT_STATUS,
+        f"exit={run.returncode} stderr={run.stderr[-300:]}",
+    )
 
 
 def scenario_poison_cell(
@@ -625,22 +668,7 @@ def scenario_poison_cell(
     queue = _queue(scenario)
     kills = 0
     for generation in (1, 2, 3):
-        round_worker = _run_service(
-            "worker", "--dir", str(scenario.dir),
-            "--worker-id", f"doomed-{generation}",
-            "--ttl", "0.4", "--poll", "0.05",
-            "--max-lease-attempts", "3",
-            "--inject-faults", "kill-worker@gcc~0",
-            "--fault-seed", str(scenario.seed),
-        )
-        if round_worker.returncode == faults.KILL_EXIT_STATUS:
-            kills += 1
-        scenario.check(
-            f"lease generation {generation} killed its worker",
-            round_worker.returncode == faults.KILL_EXIT_STATUS,
-            f"exit={round_worker.returncode} "
-            f"stderr={round_worker.stderr[-300:]}",
-        )
+        kills += _doomed_worker(scenario, generation, 3)
         lease = queue.read(target.fingerprint)
         scenario.check(
             f"poison cell's lease carries attempt {generation}",
@@ -667,7 +695,7 @@ def scenario_poison_cell(
         f"kills={kills} failure={failure}",
     )
     quarantines = [
-        event for event in _lease_events(clean_metrics)
+        event for event in _events(clean_metrics, "lease")
         if event.get("action") == "quarantined"
     ]
     scenario.check(
@@ -718,16 +746,11 @@ def scenario_deadline_expiry(
         "expired state is terminal",
         jobs.get(job_id).state == "expired",
     )
-    try:
-        jobs.fetch(job_id)
-        scenario.check("fetch of an expired job is a typed error", False,
-                       "fetch() returned normally")
-    except JobError as exc:
-        scenario.check(
-            "fetch of an expired job is a typed error",
-            "expired" in str(exc),
-            str(exc),
-        )
+    scenario.expect_job_error(
+        "fetch of an expired job is a typed error",
+        lambda: jobs.fetch(job_id),
+        "expired",
+    )
     served = Worker(scenario.dir, worker_id="late").serve(
         poll_seconds=0.02, idle_rounds=2
     )
@@ -735,16 +758,11 @@ def scenario_deadline_expiry(
         "no worker serves an expired job", served == 0,
         f"served={served}",
     )
-    events = [
-        json.loads(line)
-        for line in metrics_path.read_text(encoding="utf-8").splitlines()
-    ]
     scenario.check(
         "deadline_expired metrics event recorded",
         any(
-            event.get("event") == "job"
-            and event.get("action") == "deadline_expired"
-            for event in events
+            event.get("action") == "deadline_expired"
+            for event in _events(metrics_path, "job")
         ),
     )
 
@@ -774,16 +792,11 @@ def scenario_cancel_mid_flight(
         record.state == "cancelled"
         and jobs.get(job_id).state == "cancelled",
     )
-    try:
-        jobs.fetch(job_id)
-        scenario.check("fetch of a cancelled job is a typed error",
-                       False, "fetch() returned normally")
-    except JobError as exc:
-        scenario.check(
-            "fetch of a cancelled job is a typed error",
-            "cancelled" in str(exc),
-            str(exc),
-        )
+    scenario.expect_job_error(
+        "fetch of a cancelled job is a typed error",
+        lambda: jobs.fetch(job_id),
+        "cancelled",
+    )
     served = Worker(scenario.dir, worker_id="post-cancel").serve(
         poll_seconds=0.02, idle_rounds=2
     )
@@ -800,22 +813,15 @@ def scenario_cancel_mid_flight(
             )
         ),
     )
-    try:
-        Coordinator(scenario.dir).cancel(job_id)
-        scenario.check("double cancel is a typed error", False,
-                       "cancel() returned normally")
-    except JobError:
-        scenario.check("double cancel is a typed error", True)
-    events = [
-        json.loads(line)
-        for line in metrics_path.read_text(encoding="utf-8").splitlines()
-    ]
+    scenario.expect_job_error(
+        "double cancel is a typed error",
+        lambda: Coordinator(scenario.dir).cancel(job_id),
+    )
     scenario.check(
         "cancelled metrics event recorded",
         any(
-            event.get("event") == "job"
-            and event.get("action") == "cancelled"
-            for event in events
+            event.get("action") == "cancelled"
+            for event in _events(metrics_path, "job")
         ),
     )
 
@@ -840,19 +846,7 @@ def scenario_two_tenant_interference(
     )
     Coordinator(scenario.dir).run_once()
     for generation in (1, 2):
-        round_worker = _run_service(
-            "worker", "--dir", str(scenario.dir),
-            "--worker-id", f"doomed-{generation}",
-            "--ttl", "0.4", "--poll", "0.05",
-            "--max-lease-attempts", "2",
-            "--inject-faults", "kill-worker@gcc~0",
-            "--fault-seed", str(scenario.seed),
-        )
-        scenario.check(
-            f"lease generation {generation} killed its worker",
-            round_worker.returncode == faults.KILL_EXIT_STATUS,
-            f"exit={round_worker.returncode}",
-        )
+        _doomed_worker(scenario, generation, 2)
         scenario.check(
             f"generation {generation} lease expired",
             _wait(lambda: _leases_stealable(scenario)),
@@ -880,6 +874,106 @@ def scenario_two_tenant_interference(
     )
 
 
+def _local_cmd(scenario: Scenario, *extra: str) -> list[str]:
+    """A checkpointed ``--jobs 2`` table2 CLI run of the scenario size."""
+    return _evalx_cmd(
+        "table2", "--quick", "--tasks", str(scenario.tasks), "--jobs", "2",
+        "--checkpoint-dir", str(scenario.dir / "ckpt"), *extra,
+    )
+
+
+def _local_run(
+    campaign: Campaign, scenario: Scenario, name: str, *extra: str
+) -> list[dict]:
+    """A :func:`_local_cmd` run that must reproduce the serial result;
+    returns its checkpoint and experiment metrics records."""
+    metrics = scenario.dir / f"{name}.jsonl"
+    run = subprocess.run(
+        _local_cmd(scenario, "--metrics", str(metrics), *extra),
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    scenario.check(
+        f"{name} run byte-identical to a serial run",
+        run.returncode == 0
+        and campaign.reference("table2").text in run.stdout,
+        f"exit={run.returncode} stderr={run.stderr[-500:]}",
+    )
+    return _events(metrics, "checkpoint") + _events(metrics, "experiment")
+
+
+def scenario_local_kill_resume(
+    campaign: Campaign, scenario: Scenario
+) -> None:
+    """A checkpointed ``--jobs 2`` run loses its parent to SIGKILL
+    mid-sweep; its workers exit on their own and ``--resume`` finishes
+    byte-identically, serving every record they published."""
+    records = scenario.dir / "ckpt"
+    # The hang pins one cell, so the run cannot finish before the kill.
+    victim = subprocess.Popen(
+        _local_cmd(
+            scenario, "--inject-faults", "hang(300)@xlisp",
+            "--fault-seed", str(scenario.seed),
+        ),
+        env=_subprocess_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        scenario.check(
+            "run published records while a cell was pinned",
+            _wait(lambda: len(list(records.glob("*.ckpt.json"))) >= 2)
+            and victim.poll() is None,
+        )
+        # Only the parent dies, as under the OOM killer.
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.wait(timeout=WAIT_SECONDS)
+        scenario.check(
+            "no worker of the killed run survives its parent",
+            _wait(lambda: not live_group_members(victim.pid), 30.0),
+        )
+    finally:
+        if live_group_members(victim.pid):
+            os.killpg(victim.pid, signal.SIGKILL)
+        victim.kill()
+        victim.wait(timeout=30)
+    persisted = len(list(records.glob("*.ckpt.json")))
+    scenario.check("killed mid-sweep", 2 <= persisted < 5, f"{persisted}")
+    events = _local_run(campaign, scenario, "resumed", "--resume")
+    served = [e for e in events if e.get("action") == "resume"]
+    summary = events[-1] if events else {}
+    scenario.check(
+        "every surviving record was served, none re-run",
+        len(served) == summary.get("resumed") == persisted
+        and summary.get("failed") == 0,
+        f"summary={summary}",
+    )
+
+
+def scenario_local_corrupt_record(
+    campaign: Campaign, scenario: Scenario
+) -> None:
+    """A damaged record in a ``--jobs 2`` store is caught by its
+    checksum on resume, and only that cell re-runs."""
+    _local_run(campaign, scenario, "populating")
+    records = sorted((scenario.dir / "ckpt").glob("*.ckpt.json"))
+    scenario.check("every cell left a record", len(records) == 5)
+    if records:
+        faults.corrupt_file(records[0])
+    events = _local_run(campaign, scenario, "repairing", "--resume")
+    actions = [e.get("action") for e in events]
+    scenario.check(
+        "damage detected by checksum, only that cell re-ran",
+        actions.count("corrupt") == 1
+        and actions.count("resume") == 4
+        and actions.count("saved") == 1,
+        f"actions={actions}",
+    )
+
+
 #: Scenario registry, in campaign order. Names are the CLI vocabulary.
 SCENARIOS = {
     "kill-worker-mid-lease": scenario_kill_worker_mid_lease,
@@ -895,6 +989,8 @@ SCENARIOS = {
     "deadline-expiry": scenario_deadline_expiry,
     "cancel-mid-flight": scenario_cancel_mid_flight,
     "two-tenant-interference": scenario_two_tenant_interference,
+    "local-kill-resume": scenario_local_kill_resume,
+    "local-corrupt-record": scenario_local_corrupt_record,
 }
 
 
@@ -903,7 +999,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-chaos",
         description=(
             "Run a deterministic chaos campaign against the sweep "
-            "service and machine-verify its robustness invariants."
+            "service and local --jobs runs, and machine-verify their "
+            "robustness invariants."
         ),
     )
     parser.add_argument(

@@ -221,13 +221,7 @@ class CheckpointStore:
         a ``*.ckpt.json`` record are excluded — this is the "what work
         is durably done" view the sweep service polls.
         """
-        if not self.directory.is_dir():
-            return set()
-        return {
-            path.name[: -len(RECORD_SUFFIX)]
-            for path in self.directory.glob(f"*{RECORD_SUFFIX}")
-            if not path.name.startswith(".")
-        }
+        return self._listed(RECORD_SUFFIX)
 
     def leases(self) -> set[str]:
         """Fingerprints that currently have a lease file on disk.
@@ -235,11 +229,12 @@ class CheckpointStore:
         Liveness (expiry, ownership) is the lease queue's concern —
         this only lists which claims exist.
         """
-        if not self.directory.is_dir():
-            return set()
+        return self._listed(LEASE_SUFFIX)
+
+    def _listed(self, suffix: str) -> set[str]:
         return {
-            path.name[: -len(LEASE_SUFFIX)]
-            for path in self.directory.glob(f"*{LEASE_SUFFIX}")
+            path.name[: -len(suffix)]
+            for path in self.directory.glob(f"*{suffix}")
             if not path.name.startswith(".")
         }
 

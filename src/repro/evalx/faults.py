@@ -6,7 +6,7 @@ nothing if they are only exercised by hand-built unit fixtures. This
 module makes them drivable end to end against the real scheduler: a
 seeded :class:`FaultPlan` decides up front exactly which cell attempts
 misbehave and how, and the plan travels to subprocess workers through an
-environment variable so pooled runs misbehave identically to serial
+environment variable so ``--jobs N`` runs misbehave identically to serial
 ones.
 
 **Inert by default.** Nothing here fires unless a plan was explicitly
@@ -46,13 +46,14 @@ Worker-side actions (``raise``, ``hang``, ``kill``) fire inside
 (``corrupt-checkpoint``, ``corrupt-trace``) are applied by the parent
 scheduler, which corrupts the matching record on disk so checksum
 detection and regeneration run for real. The sweep service adds
-``kill-worker``, fired from :func:`fire_worker` in the remote worker
-loop just after the victim cell is leased — it hard-kills the whole
-worker process so the lease-expiry/steal recovery path is exercised.
+``kill-worker``, fired by the worker loop just after the victim cell is
+leased — it hard-kills the whole worker process so the
+lease-expiry/steal recovery path is exercised.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import json
 import os
@@ -65,7 +66,7 @@ from pathlib import Path
 from repro.errors import ReproError
 
 #: A JSON-encoded :class:`FaultPlan` in this variable arms the injector;
-#: subprocess pool workers inherit it from the parent's environment.
+#: forked and subprocess workers inherit it from the parent's environment.
 ENV_VAR = "REPRO_FAULTS"
 
 #: Actions executed inside the worker, at the top of the cell runner.
@@ -78,7 +79,7 @@ STORE_ACTIONS = frozenset({"corrupt-checkpoint", "corrupt-trace"})
 #: runner): ``kill-worker`` hard-kills the whole remote worker process
 #: right after it leases the matching cell — mid-lease, before any
 #: result exists — so the lease-expiry/steal recovery path runs for
-#: real (see :func:`fire_worker` and :mod:`repro.evalx.service.worker`).
+#: real (see :func:`fire` and :mod:`repro.evalx.service.worker`).
 SERVICE_ACTIONS = frozenset({"kill-worker"})
 
 #: Exit status of a ``kill``-faulted worker (distinctive in waitpid logs).
@@ -204,22 +205,7 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Env-var wire form."""
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "spec": self.spec,
-                "triggers": [
-                    {
-                        "label": t.label,
-                        "attempt": t.attempt,
-                        "action": t.action,
-                        "seconds": t.seconds,
-                    }
-                    for t in self.triggers
-                ],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, raw: str) -> FaultPlan:
@@ -246,7 +232,7 @@ class FaultPlan:
 
 
 def install(plan: FaultPlan) -> None:
-    """Arm the injector process-wide (and for future pool workers).
+    """Arm the injector process-wide (and for workers forked later).
 
     The only in-tree callers are the ``--inject-faults`` CLI path and
     tests: installing a plan anywhere else defeats the explicit opt-in
@@ -277,59 +263,38 @@ def active_plan() -> FaultPlan | None:
     return _plan_cache[1]
 
 
-def fire(label: str, attempt: int) -> None:
-    """Worker-side hook: misbehave if this attempt is a planned victim.
+def fire(
+    label: str, attempt: int, actions: frozenset[str] = WORKER_ACTIONS
+) -> None:
+    """Misbehave if this attempt of ``label`` is a planned victim.
 
-    Called at the top of every cell attempt. Inert (one env lookup)
-    unless a plan is installed. Store-side actions are not fired here —
-    the parent applies those to the records it owns.
+    The cell runner calls this at the top of every attempt with the
+    worker-side ``actions``. The sweep-service worker loop calls it
+    with :data:`SERVICE_ACTIONS` right after it leases a cell, passing
+    the lease generation as ``attempt`` — so ``kill-worker@X~N`` kills
+    the Nth worker to lease X and ``~0`` every one (a poison cell); the
+    lease it dies holding is what the expiry/steal path repairs.
+    Store-side actions never fire here: the parent applies those to the
+    records it owns. Inert (one env lookup) unless a plan is installed.
     """
     if not os.environ.get(ENV_VAR):
         return
     plan = active_plan()
-    if plan is None:
-        return
-    for trigger in plan.triggers:
+    for trigger in plan.triggers if plan is not None else ():
         if (
-            trigger.label == label
-            and trigger.attempt in (0, attempt)
-            and trigger.action in WORKER_ACTIONS
+            trigger.label != label
+            or trigger.attempt not in (0, attempt)
+            or trigger.action not in actions
         ):
-            if trigger.action == "raise":
-                raise InjectedFault(
-                    f"injected fault: cell {label!r} attempt {attempt}"
-                )
-            if trigger.action == "hang":
-                time.sleep(trigger.seconds)
-                return
-            if trigger.action == "kill":
-                os._exit(KILL_EXIT_STATUS)
-
-
-def fire_worker(label: str, attempt: int = 1) -> None:
-    """Sweep-service hook: kill this worker if the cell is a victim.
-
-    Called by the service worker loop right after it leases a cell and
-    before the cell runs — the distributed analogue of a remote host
-    dying mid-task. The worker's lease stays on disk, expires, and is
-    stolen by a surviving worker, which is exactly the recovery path the
-    chaos harness needs to drive. ``attempt`` is the lease generation
-    (the cross-steal attempt counter), so ``~N`` targets the Nth worker
-    to lease the cell and ``~0`` targets every one — a poison cell.
-    Inert unless a plan is installed.
-    """
-    if not os.environ.get(ENV_VAR):
-        return
-    plan = active_plan()
-    if plan is None:
-        return
-    for trigger in plan.triggers:
-        if (
-            trigger.label == label
-            and trigger.attempt in (0, attempt)
-            and trigger.action == "kill-worker"
-        ):
-            os._exit(KILL_EXIT_STATUS)
+            continue
+        if trigger.action == "raise":
+            raise InjectedFault(
+                f"injected fault: cell {label!r} attempt {attempt}"
+            )
+        if trigger.action == "hang":
+            time.sleep(trigger.seconds)
+            return
+        os._exit(KILL_EXIT_STATUS)  # kill, kill-worker
 
 
 def corrupt_file(path: str | Path, flip_bytes: int = 16) -> bool:

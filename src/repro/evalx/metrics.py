@@ -134,15 +134,7 @@ class RunMetrics:
         self._retries = 0
         self._resumed = 0
         self._started = time.perf_counter()
-        self._emit(
-            {
-                "event": "experiment_start",
-                "ts": time.time(),
-                "experiment": experiment_id,
-                "cells": n_cells,
-                "jobs": jobs,
-            }
-        )
+        self._record("experiment_start", cells=n_cells, jobs=jobs)
         self._draw_progress()
 
     def cell_attempt(
@@ -157,23 +149,17 @@ class RunMetrics:
         error: str | None = None,
     ) -> None:
         """Record one attempt of one cell (``status``: ok/error/timeout/crash)."""
-        record: dict[str, Any] = {
-            "event": "cell",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "cell": label,
-            "status": status,
-            "attempt": attempt,
-            "final": final,
-            "wall_seconds": round(wall_seconds, 6),
-        }
-        if worker_pid is not None:
-            record["worker_pid"] = worker_pid
-        if cache:
-            record["cache"] = cache
-        if error is not None:
-            record["error"] = error
-        self._emit(record)
+        self._record(
+            "cell",
+            cell=label,
+            status=status,
+            attempt=attempt,
+            final=final,
+            wall_seconds=round(wall_seconds, 6),
+            worker_pid=worker_pid,
+            cache=cache or None,
+            error=error,
+        )
         if final:
             self._done += 1
             if status != "ok":
@@ -195,18 +181,13 @@ class RunMetrics:
         ``corrupt`` / ``unfingerprintable``. A ``resume`` also advances
         the progress line — the cell's slot is filled without running.
         """
-        record: dict[str, Any] = {
-            "event": "checkpoint",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "cell": label,
-            "action": action,
-        }
-        if fingerprint:
-            record["fingerprint"] = fingerprint
-        if reason is not None:
-            record["reason"] = reason
-        self._emit(record)
+        self._record(
+            "checkpoint",
+            cell=label,
+            action=action,
+            fingerprint=fingerprint or None,
+            reason=reason,
+        )
         if action == "resume":
             self._done += 1
             self._resumed += 1
@@ -226,20 +207,14 @@ class RunMetrics:
         ``released`` / ``completed`` / ``failed`` / ``abandoned`` /
         ``quarantined``.
         """
-        record: dict[str, Any] = {
-            "event": "lease",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "cell": label,
-            "action": action,
-        }
-        if fingerprint:
-            record["fingerprint"] = fingerprint
-        if worker:
-            record["worker"] = worker
-        if job:
-            record["job"] = job
-        self._emit(record)
+        self._record(
+            "lease",
+            cell=label,
+            action=action,
+            fingerprint=fingerprint or None,
+            worker=worker or None,
+            job=job or None,
+        )
 
     def job_event(
         self, job_id: str, action: str, reason: str = ""
@@ -251,16 +226,7 @@ class RunMetrics:
         transitions that happen outside the normal expand/finalise
         flow, so operators can audit why a job left the queue.
         """
-        record: dict[str, Any] = {
-            "event": "job",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "job": job_id,
-            "action": action,
-        }
-        if reason:
-            record["reason"] = reason
-        self._emit(record)
+        self._record("job", job=job_id, action=action, reason=reason or None)
 
     def drain_event(
         self, role: str, signal_name: str, served: int | None = None
@@ -271,16 +237,7 @@ class RunMetrics:
         drained the loop: in-flight work finished or was abandoned,
         leases were released, and the process is about to exit cleanly.
         """
-        record: dict[str, Any] = {
-            "event": "drain",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "role": role,
-            "signal": signal_name,
-        }
-        if served is not None:
-            record["served"] = served
-        self._emit(record)
+        self._record("drain", role=role, signal=signal_name, served=served)
         if self._progress:
             sys.stderr.write(
                 f"\n[{role} drained after {signal_name}]\n"
@@ -291,52 +248,31 @@ class RunMetrics:
         self, label: str, action: str, attempt: int, phase: str
     ) -> None:
         """Record an injected fault (``phase``: armed / fired)."""
-        self._emit(
-            {
-                "event": "fault",
-                "ts": time.time(),
-                "experiment": self._experiment,
-                "cell": label,
-                "action": action,
-                "attempt": attempt,
-                "phase": phase,
-            }
+        self._record(
+            "fault", cell=label, action=action, attempt=attempt, phase=phase
         )
 
     def interrupted(self, signal_name: str) -> None:
         """Record a graceful interrupt (SIGINT/SIGTERM) and flush.
 
-        Emitted after the pool is shut down and before the interrupt
+        Emitted after the workers are stopped and before the interrupt
         re-raises; every record before this line is durable, so a
         ``--resume`` of the same checkpoint dir picks up exactly here.
         """
-        self._emit(
-            {
-                "event": "interrupt",
-                "ts": time.time(),
-                "experiment": self._experiment,
-                "signal": signal_name,
-            }
-        )
+        self._record("interrupt", signal=signal_name)
         if self._progress:
             sys.stderr.write(f"\n[interrupted by {signal_name}]\n")
             sys.stderr.flush()
 
     def end_experiment(self) -> None:
         """Record the experiment total and finish the progress line."""
-        self._emit(
-            {
-                "event": "experiment",
-                "ts": time.time(),
-                "experiment": self._experiment,
-                "cells": self._total,
-                "resumed": self._resumed,
-                "failed": self._failed,
-                "retries": self._retries,
-                "wall_seconds": round(
-                    time.perf_counter() - self._started, 6
-                ),
-            }
+        self._record(
+            "experiment",
+            cells=self._total,
+            resumed=self._resumed,
+            failed=self._failed,
+            retries=self._retries,
+            wall_seconds=round(time.perf_counter() - self._started, 6),
         )
         if self._progress:
             self._draw_progress()
@@ -357,10 +293,18 @@ class RunMetrics:
 
     # -- internals ----------------------------------------------------
 
-    def _emit(self, record: dict[str, Any]) -> None:
-        if self._handle is not None:
-            self._handle.write(json.dumps(record, default=str) + "\n")
-            self._handle.flush()
+    def _record(self, event: str, **fields: Any) -> None:
+        """Append one record; fields that are ``None`` are left out."""
+        if self._handle is None:
+            return
+        record = {
+            "event": event,
+            "ts": time.time(),
+            "experiment": self._experiment,
+            **{k: v for k, v in fields.items() if v is not None},
+        }
+        self._handle.write(json.dumps(record, default=str) + "\n")
+        self._handle.flush()
 
     def _draw_progress(self) -> None:
         if not self._progress:

@@ -1,70 +1,31 @@
 """Parallel experiment engine: fan (benchmark x config) cells to workers.
 
-Every paper experiment is a grid of independent simulations — benchmarks
-crossed with predictor configurations — so each driver module exposes its
-grid explicitly:
+Every paper experiment is a grid of independent simulations, so each
+driver module exposes its grid explicitly: ``cells(n_tasks=...,
+quick=..., **kwargs)`` returns :class:`Cell` work units (a module-level
+function plus picklable keyword arguments), and ``combine(cells,
+results, ...)`` assembles the payloads, in cell order, into an
+:class:`~repro.evalx.result.ExperimentResult`.
 
-* ``cells(n_tasks=..., quick=..., **kwargs)`` returns a list of
-  :class:`Cell` work units (a module-level function plus picklable
-  keyword arguments);
-* ``combine(cells, results, ...)`` assembles the cell payloads, in cell
-  order, into the final :class:`~repro.evalx.result.ExperimentResult`.
+:func:`run_sharded` runs the grid serially (the default) or, when
+``jobs`` asks for workers, on the sweep service's lease queue served by
+forked workers (:mod:`repro.evalx.service.local`). Results are
+byte-identical either way: cells share no mutable state and are
+assembled in cell order.
 
-:func:`run_sharded` executes the grid either serially (the default — the
-results are byte-identical either way) or across a
-``ProcessPoolExecutor`` when ``jobs`` asks for workers. Determinism is
-structural: cells share no mutable state, results are assembled in
-submission order regardless of completion order, and ``combine`` never
-sees which path produced them.
-
-The scheduler is fault-tolerant in the same spirit as the paper's
-control-flow speculation: a mispredicted (failed) cell is repaired
-locally instead of squashing the whole sweep.
-
-* **Retry with backoff** — :class:`RetryPolicy` grants each cell extra
-  attempts with exponential backoff before its failure is final.
-* **Per-cell timeout** (pooled runs only) — a cell exceeding
-  ``timeout_seconds`` is marked failed; the pool is rebuilt so the stuck
-  worker cannot starve the run.
-* **Worker-crash recovery** — a ``BrokenProcessPool`` (a worker died,
-  e.g. OOM-killed or ``os._exit``) rebuilds the pool once and re-runs
-  only the unfinished cells, one at a time, so a second crash names the
-  culprit cell exactly instead of surfacing as a bare pool error.
-* **Keep-going mode** — with ``keep_going=True`` a cell whose failure is
-  final degrades to a typed :class:`CellFailure` payload in its result
-  slot; drivers render these as gaps and the sweep completes. Without
-  it, the first final failure cancels all queued cells
-  (``shutdown(cancel_futures=True)``) and raises promptly.
-
-Two durability layers sit on top of the retry machinery:
-
-* **Checkpoint/resume** — pass a
-  :class:`~repro.evalx.checkpoint.CheckpointStore` and every completed
-  cell is persisted atomically the moment it finishes; a store opened
-  with ``resume=True`` serves verified records up front, so a run
-  killed outright (SIGKILL, OOM, CI preemption) restarts and completes
-  with byte-identical output. Corrupt or stale records are typed
-  :class:`~repro.evalx.checkpoint.CheckpointCorrupt` events that fall
-  back to re-execution.
-* **Graceful interrupts** — ``run_sharded`` converts SIGINT/SIGTERM
-  into an orderly stop: the pool is shut down, metrics are flushed with
-  an ``interrupt`` event, the checkpoint store is left consistent, and
-  the interrupt re-raises — so Ctrl-C is always resumable.
-
-Observability threads through the same path: pass a
-:class:`~repro.evalx.metrics.RunMetrics` and every attempt is recorded
-(wall time, worker pid, workload-cache deltas) as JSON lines.
-
-Fault injection (:mod:`repro.evalx.faults`) hooks the same choke
-points: the worker-side cell runner fires planned ``raise``/``hang``/
-``kill`` faults, and the parent applies planned record corruption —
-inert unless a plan is explicitly installed.
-
-Before fanning out, the scheduler pre-warms each distinct workload in
-the parent process so trace generation happens once, not once per
-worker: forked workers inherit the in-memory caches, and (when the disk
-cache is enabled) spawned workers find warm ``.repro-cache`` entries
-written atomically by :mod:`repro.synth.workloads`.
+A failed cell is repaired locally instead of squashing the sweep, in
+the spirit of the paper's control-flow speculation. One loop,
+:func:`run_attempts`, retries a failing cell with exponential backoff
+(:class:`RetryPolicy`) on every path; a worker's death or timeout
+counts against the same budget; with ``keep_going`` a final failure
+becomes a typed :class:`CellFailure` gap, and without it the first one
+stops the run and raises. A
+:class:`~repro.evalx.checkpoint.CheckpointStore` persists each
+completed cell as it finishes, so a killed run resumes byte-identically;
+SIGINT/SIGTERM stop the run cleanly and leave the store consistent. A
+:class:`~repro.evalx.metrics.RunMetrics` records every attempt, and
+:mod:`repro.evalx.faults` hooks the same choke points, inert unless a
+plan is installed.
 """
 
 from __future__ import annotations
@@ -74,9 +35,6 @@ import signal
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -132,7 +90,9 @@ class CellFailure:
     Attributes:
         label: The failed cell's label.
         kind: ``"error"`` (the cell raised), ``"timeout"`` (exceeded the
-            per-cell deadline), or ``"crash"`` (its worker process died).
+            per-cell deadline), ``"crash"`` (its worker process died),
+            or ``"quarantined"`` (the sweep service gave up re-leasing
+            it).
         error: Human-readable description of the last failure.
         attempts: Attempts consumed, including the final one.
         wall_seconds: Wall time of the last attempt.
@@ -156,11 +116,13 @@ class RetryPolicy:
 
     Attributes:
         retries: Extra attempts granted to a failing cell (0 = fail on
-            the first error).
+            the first error). Errors, worker crashes and timeouts all
+            draw on this one budget.
         backoff_seconds: Delay before the first retry; doubles on each
             subsequent one (exponential backoff).
-        timeout_seconds: Per-cell wall-clock deadline, enforced only in
-            pooled runs (a serial in-process cell cannot be preempted).
+        timeout_seconds: Per-cell wall-clock deadline, enforced only
+            when cells run in forked workers (a serial in-process cell
+            cannot be preempted).
     """
 
     retries: int = 0
@@ -170,6 +132,29 @@ class RetryPolicy:
 
 #: Policy used when the caller passes none: fail fast, no deadline.
 DEFAULT_RETRY_POLICY = RetryPolicy()
+
+
+@dataclass(frozen=True)
+class CellCheckpoint:
+    """Where :func:`execute_cells` persists completed payloads: a store,
+    the experiment id its records carry, and one fingerprint per cell
+    (``None`` for a cell that cannot be checkpointed; it still runs)."""
+
+    store: CheckpointStore
+    experiment: str
+    keys: tuple[str | None, ...]
+
+    def save(
+        self, index: int, cell: Cell, payload: Any, metrics: RunMetrics
+    ) -> None:
+        """Persist one completed cell (a no-op for an unkeyed one)."""
+        key = self.keys[index]
+        if key is None:
+            return
+        saved = self.store.save(key, cell.label, self.experiment, payload)
+        metrics.checkpoint_event(
+            cell.label, "saved" if saved else "save-failed", key
+        )
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -189,7 +174,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 @dataclass
 class _CellOutcome:
-    """What the instrumented worker-side runner ships back per attempt."""
+    """What the instrumented cell runner returns per successful attempt."""
 
     payload: Any
     worker_pid: int
@@ -222,10 +207,11 @@ def _run_cell_instrumented(cell: Cell, attempt: int = 1) -> _CellOutcome:
     )
 
 
-def _wrap_failure(cell: Cell, exc: BaseException) -> CellExecutionError:
+def cell_error(cell: Cell, error: str) -> CellExecutionError:
+    """The typed error for a cell whose failure is final."""
     return CellExecutionError(
         f"cell {cell.label!r} ({getattr(cell.fn, '__module__', '?')}) "
-        f"failed: {exc!r}",
+        f"failed: {error}",
         cell_label=cell.label,
     )
 
@@ -239,19 +225,70 @@ def _prewarm(cells: Sequence[Cell]) -> None:
             prewarm_workload(*cell.workload)
 
 
-@dataclass
-class _CellState:
-    """Scheduler-side bookkeeping for one cell across attempts."""
-
-    index: int
-    cell: Cell
-    attempts: int = 0
-    submitted_at: float = 0.0
-    retry_at: float = 0.0
-
-
 def _backoff(policy: RetryPolicy, attempts: int) -> float:
     return policy.backoff_seconds * (2 ** max(attempts - 1, 0))
+
+
+def run_attempts(
+    cell: Cell,
+    policy: RetryPolicy,
+    metrics: RunMetrics,
+    first: int = 1,
+    lost: threading.Event | None = None,
+    publish: Callable[[Any], None] | None = None,
+) -> tuple[_CellOutcome | CellFailure | None, Exception | None]:
+    """Run a cell's attempts ``first`` .. ``policy.retries + 1``.
+
+    The one retry loop: every attempt is one ``cell`` metrics record,
+    and each attempt after the first waits out the exponential backoff
+    of the one before it. ``first`` is above 1 when earlier attempts
+    were already spent elsewhere (a worker that died running the cell).
+    ``publish`` is the last step of a successful attempt: an exception
+    from it fails the attempt like one from the cell, so a result that
+    cannot be published is retried and then becomes a failure.
+    Returns ``(outcome, None)`` on success, ``(failure, exc)`` once the
+    budget is spent, or ``(None, None)`` when ``lost`` is set before an
+    attempt starts (the caller no longer owns the cell).
+    """
+    attempt = first
+    while True:
+        if attempt > 1:
+            time.sleep(_backoff(policy, attempt - 1))
+        if lost is not None and lost.is_set():
+            return None, None
+        started = time.perf_counter()
+        try:
+            outcome = _run_cell_instrumented(cell, attempt)
+            if publish is not None:
+                publish(outcome.payload)
+        except Exception as exc:
+            wall = time.perf_counter() - started
+            final = attempt > policy.retries
+            metrics.cell_attempt(
+                cell.label,
+                status="error",
+                attempt=attempt,
+                wall_seconds=wall,
+                final=final,
+                worker_pid=os.getpid(),
+                error=repr(exc),
+            )
+            if final:
+                failure = CellFailure(
+                    cell.label, "error", repr(exc), attempt, wall
+                )
+                return failure, exc
+            attempt += 1
+            continue
+        metrics.cell_attempt(
+            cell.label,
+            status="ok",
+            attempt=attempt,
+            wall_seconds=outcome.wall_seconds,
+            worker_pid=outcome.worker_pid,
+            cache=outcome.cache,
+        )
+        return outcome, None
 
 
 def execute_cells(
@@ -262,34 +299,38 @@ def execute_cells(
     retry: RetryPolicy | None = None,
     metrics: RunMetrics | None = None,
     on_result: Callable[[Cell, Any], None] | None = None,
+    checkpoint: CellCheckpoint | None = None,
 ) -> list:
     """Run every cell and return payloads in cell order.
 
     With ``jobs`` resolving to one worker (or a single cell) this is a
-    plain loop; otherwise cells are fanned over a process pool and
-    collected as they complete, assembled back into submission order.
+    plain in-process loop with no disk I/O beyond ``checkpoint``;
+    otherwise the grid runs on the lease queue under ``jobs`` forked
+    workers (:func:`repro.evalx.service.local.run_local`).
 
     A cell whose failure is final (its :class:`RetryPolicy` attempts are
     exhausted) raises :class:`~repro.errors.CellExecutionError` naming
-    the cell — cancelling every still-queued cell first so the error
-    surfaces promptly — unless ``keep_going`` is set, in which case its
-    result slot holds a :class:`CellFailure` and the sweep completes.
+    the cell — stopping every other cell first so the error surfaces
+    promptly — unless ``keep_going`` is set, in which case its result
+    slot holds a :class:`CellFailure` and the sweep completes.
 
-    ``on_result`` is invoked in the parent process the moment a cell's
-    payload is final (successful payloads only, never
-    :class:`CellFailure` gaps) — the checkpoint store persists cells
-    through this hook, so results survive even if the run never
-    finishes assembling them.
+    ``checkpoint`` persists each completed payload as it finishes.
+    ``on_result`` is invoked in the parent process for every successful
+    payload (never for :class:`CellFailure` gaps).
     """
     policy = retry or DEFAULT_RETRY_POLICY
     recorder = metrics or RunMetrics.disabled()
     n_workers = resolve_jobs(jobs)
     if n_workers <= 1 or len(cells) <= 1:
         return _execute_serial(
-            cells, policy, keep_going, recorder, on_result
+            cells, policy, keep_going, recorder, on_result, checkpoint
         )
-    return _execute_pooled(
-        cells, n_workers, policy, keep_going, recorder, on_result
+    # Imported here: the service package builds on this module.
+    from repro.evalx.service.local import run_local
+
+    _prewarm(cells)
+    return run_local(
+        cells, n_workers, policy, keep_going, recorder, on_result, checkpoint
     )
 
 
@@ -299,345 +340,51 @@ def _execute_serial(
     keep_going: bool,
     metrics: RunMetrics,
     on_result: Callable[[Cell, Any], None] | None = None,
+    checkpoint: CellCheckpoint | None = None,
 ) -> list:
     """In-process execution with the same retry/keep-going semantics.
 
     Per-cell timeouts are not enforced here: a cell running in the
     parent process cannot be preempted without threads or signals.
     """
-    results = []
-    for cell in cells:
-        attempts = 0
-        while True:
-            attempts += 1
-            started = time.perf_counter()
-            try:
-                outcome = _run_cell_instrumented(cell, attempts)
-            except Exception as exc:
-                wall = time.perf_counter() - started
-                final = attempts > policy.retries
-                metrics.cell_attempt(
-                    cell.label,
-                    status="error",
-                    attempt=attempts,
-                    wall_seconds=wall,
-                    final=final,
-                    worker_pid=os.getpid(),
-                    error=repr(exc),
-                )
-                if not final:
-                    time.sleep(_backoff(policy, attempts))
-                    continue
-                if keep_going:
-                    results.append(
-                        CellFailure(
-                            label=cell.label,
-                            kind="error",
-                            error=repr(exc),
-                            attempts=attempts,
-                            wall_seconds=wall,
-                        )
-                    )
-                    break
-                raise _wrap_failure(cell, exc) from exc
-            else:
-                metrics.cell_attempt(
-                    cell.label,
-                    status="ok",
-                    attempt=attempts,
-                    wall_seconds=outcome.wall_seconds,
-                    worker_pid=outcome.worker_pid,
-                    cache=outcome.cache,
-                )
-                results.append(outcome.payload)
-                if on_result is not None:
-                    on_result(cell, outcome.payload)
-                break
+    results: list[Any] = []
+    for index, cell in enumerate(cells):
+        outcome, exc = run_attempts(cell, policy, metrics)
+        if isinstance(outcome, CellFailure):
+            if not keep_going:
+                raise cell_error(cell, outcome.error) from exc
+            results.append(outcome)
+            continue
+        assert outcome is not None
+        results.append(outcome.payload)
+        if checkpoint is not None:
+            checkpoint.save(index, cell, outcome.payload, metrics)
+        if on_result is not None:
+            on_result(cell, outcome.payload)
     return results
 
 
-#: Result-slot sentinel for a cell that has not finished yet.
-_PENDING = object()
+@contextmanager
+def handle_signals(handler: Callable[[str], None]):
+    """Route SIGINT and SIGTERM to ``handler(signal name)`` in the block.
 
-
-class _PooledRun:
-    """One fan-out execution over a rebuildable ``ProcessPoolExecutor``.
-
-    The happy path submits every cell up front and drains completions
-    with ``wait(FIRST_COMPLETED)``. Fault handling may transition the
-    run into *isolated* mode (single worker, one in-flight cell) after a
-    worker crash, which keeps crash attribution exact: when the only
-    in-flight cell's pool breaks, that cell is the culprit.
+    The previous handlers come back on the way out. Handlers can only
+    be installed from the main thread; elsewhere this does nothing.
     """
-
-    def __init__(
-        self,
-        cells: Sequence[Cell],
-        n_workers: int,
-        policy: RetryPolicy,
-        keep_going: bool,
-        metrics: RunMetrics,
-        on_result: Callable[[Cell, Any], None] | None = None,
-    ) -> None:
-        self.cells = cells
-        self.policy = policy
-        self.keep_going = keep_going
-        self.metrics = metrics
-        self.on_result = on_result
-        self.max_workers = min(n_workers, len(cells))
-        self.results: list[Any] = [_PENDING] * len(cells)
-        self.queued: list[_CellState] = [
-            _CellState(i, c) for i, c in enumerate(cells)
-        ]
-        self.in_flight: dict[Future, _CellState] = {}
-        self.isolated = False  # post-crash degraded mode
-        self.pool = ProcessPoolExecutor(max_workers=self.max_workers)
-
-    # -- pool management ----------------------------------------------
-
-    def _shutdown(self) -> None:
-        """Cancel queued work and release the pool without blocking.
-
-        ``cancel_futures=True`` keeps failures prompt: cells submitted
-        but not yet started never run; ``wait=False`` avoids blocking on
-        cells already running (their results are discarded).
-        """
-        self.pool.shutdown(wait=False, cancel_futures=True)
-
-    def _rebuild_pool(self, isolate: bool) -> None:
-        """Replace the pool after a crash or timeout.
-
-        Cells that were in flight go back to the queue without an
-        attempt charged — their worker died through no fault of theirs
-        (or was abandoned behind a timed-out neighbour). ``isolate``
-        switches the rebuilt pool to a single worker with one in-flight
-        cell at a time, which makes crash attribution exact; timeouts
-        keep the full fan-out, since attribution is already per-cell.
-        """
-        self._shutdown()
-        for state in self.in_flight.values():
-            state.attempts -= 1
-            state.retry_at = 0.0
-            self.queued.append(state)
-        self.in_flight.clear()
-        self.queued.sort(key=lambda s: s.index)
-        self.isolated = self.isolated or isolate
-        self.pool = ProcessPoolExecutor(
-            max_workers=1 if self.isolated else self.max_workers
-        )
-
-    # -- scheduling ---------------------------------------------------
-
-    def _submit(self, state: _CellState) -> None:
-        state.attempts += 1
-        state.submitted_at = time.monotonic()
-        self.in_flight[
-            self.pool.submit(
-                _run_cell_instrumented, state.cell, state.attempts
-            )
-        ] = state
-
-    def _submit_due(self) -> None:
-        now = time.monotonic()
-        due = [s for s in self.queued if s.retry_at <= now]
-        if self.isolated:
-            # One in-flight cell at a time: a pool break names it.
-            due = due[:1] if not self.in_flight else []
-        for state in due:
-            self.queued.remove(state)
+    previous: dict[int, Any] = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                self._submit(state)
-            except BrokenProcessPool:
-                # The pool broke between a worker death and this submit;
-                # the submitted cell never ran, so it is not charged.
-                state.attempts -= 1
-                state.retry_at = 0.0
-                self.queued.append(state)
-                self._handle_crash([])
-                return
-
-    def _tick_seconds(self) -> float | None:
-        """How long ``wait`` may block before a deadline needs service."""
-        now = time.monotonic()
-        deadlines = [s.retry_at - now for s in self.queued if s.retry_at]
-        if self.policy.timeout_seconds is not None:
-            deadlines.extend(
-                s.submitted_at + self.policy.timeout_seconds - now
-                for s in self.in_flight.values()
-            )
-        if not deadlines:
-            return None
-        return max(min(deadlines), 0.01)
-
-    # -- fault handling -----------------------------------------------
-
-    def _attempt_failed(
-        self,
-        state: _CellState,
-        kind: str,
-        error: str,
-        wall_seconds: float,
-        exc: BaseException | None,
-    ) -> None:
-        """Handle one failed attempt: schedule a retry or finalise."""
-        final = state.attempts > self.policy.retries
-        self.metrics.cell_attempt(
-            state.cell.label,
-            status=kind,
-            attempt=state.attempts,
-            wall_seconds=wall_seconds,
-            final=final,
-            error=error,
-        )
-        if not final:
-            state.retry_at = time.monotonic() + _backoff(
-                self.policy, state.attempts
-            )
-            self.queued.append(state)
-            return
-        if self.keep_going:
-            self.results[state.index] = CellFailure(
-                label=state.cell.label,
-                kind=kind,
-                error=error,
-                attempts=state.attempts,
-                wall_seconds=wall_seconds,
-            )
-            return
-        self._shutdown()
-        if exc is not None:
-            raise _wrap_failure(state.cell, exc) from exc
-        raise CellExecutionError(
-            f"cell {state.cell.label!r} "
-            f"({getattr(state.cell.fn, '__module__', '?')}) {error}",
-            cell_label=state.cell.label,
-        )
-
-    def _handle_crash(self, crashed: list[_CellState]) -> None:
-        """A worker died; recover and (if possible) attribute the crash.
-
-        In fan-out mode the culprit among the in-flight cells is
-        unknowable, so nobody is charged: the pool is rebuilt and all
-        unfinished cells re-run one at a time. In isolated mode exactly
-        one cell was in flight, so the crash is charged to it.
-        """
-        if self.isolated:
-            for state in crashed:
-                self._attempt_failed(
-                    state,
-                    kind="crash",
-                    error=(
-                        "worker process died while running this cell "
-                        "(BrokenProcessPool)"
-                    ),
-                    wall_seconds=time.monotonic() - state.submitted_at,
-                    exc=None,
+                previous[signum] = signal.signal(
+                    signum, lambda n, _: handler(signal.Signals(n).name)
                 )
-            self._rebuild_pool(isolate=True)
-            return
-        for state in crashed:
-            state.attempts -= 1
-            state.retry_at = 0.0
-            self.queued.append(state)
-        self._rebuild_pool(isolate=True)
-
-    def _handle_timeouts(self) -> None:
-        if self.policy.timeout_seconds is None:
-            return
-        now = time.monotonic()
-        expired = [
-            (future, state)
-            for future, state in self.in_flight.items()
-            if now - state.submitted_at > self.policy.timeout_seconds
-        ]
-        if not expired:
-            return
-        for future, state in expired:
-            del self.in_flight[future]
-            future.cancel()  # no-op if already running; harmless
-            self._attempt_failed(
-                state,
-                kind="timeout",
-                error=(
-                    "cell exceeded the per-cell timeout of "
-                    f"{self.policy.timeout_seconds}s"
-                ),
-                wall_seconds=now - state.submitted_at,
-                exc=None,
-            )
-        # The expired cells' workers are still busy; rebuild so stuck
-        # tasks cannot starve the remaining cells of worker slots.
-        self._rebuild_pool(isolate=False)
-
-    # -- main loop ----------------------------------------------------
-
-    def run(self) -> list:
-        _prewarm(self.cells)
-        try:
-            while self.queued or self.in_flight:
-                self._submit_due()
-                if not self.in_flight:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest retry deadline.
-                    now = time.monotonic()
-                    wake = min(s.retry_at for s in self.queued)
-                    if wake > now:
-                        time.sleep(min(wake - now, 0.5))
-                    continue
-                done, _ = wait(
-                    set(self.in_flight),
-                    timeout=self._tick_seconds(),
-                    return_when=FIRST_COMPLETED,
-                )
-                crashed: list[_CellState] = []
-                for future in done:
-                    state = self.in_flight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(state)
-                    except Exception as exc:
-                        self._attempt_failed(
-                            state,
-                            kind="error",
-                            error=repr(exc),
-                            wall_seconds=(
-                                time.monotonic() - state.submitted_at
-                            ),
-                            exc=exc,
-                        )
-                    else:
-                        self.metrics.cell_attempt(
-                            state.cell.label,
-                            status="ok",
-                            attempt=state.attempts,
-                            wall_seconds=outcome.wall_seconds,
-                            worker_pid=outcome.worker_pid,
-                            cache=outcome.cache,
-                        )
-                        self.results[state.index] = outcome.payload
-                        if self.on_result is not None:
-                            self.on_result(state.cell, outcome.payload)
-                if crashed:
-                    self._handle_crash(crashed)
-                else:
-                    self._handle_timeouts()
-            return self.results
-        finally:
-            self._shutdown()
-
-
-def _execute_pooled(
-    cells: Sequence[Cell],
-    n_workers: int,
-    policy: RetryPolicy,
-    keep_going: bool,
-    metrics: RunMetrics,
-    on_result: Callable[[Cell, Any], None] | None = None,
-) -> list:
-    return _PooledRun(
-        cells, n_workers, policy, keep_going, metrics, on_result
-    ).run()
+            except (ValueError, OSError):  # e.g. a sub-interpreter
+                pass
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            signal.signal(signum, old)
 
 
 @contextmanager
@@ -645,40 +392,24 @@ def _graceful_interrupts(recorder: RunMetrics):
     """Convert SIGINT/SIGTERM into a clean, resumable stop.
 
     Both signals raise ``KeyboardInterrupt`` at the scheduler's next
-    bytecode boundary; the pool's ``finally`` shutdown runs, an
+    bytecode boundary; the workers are stopped on the way out, an
     ``interrupt`` event is flushed to the metrics stream, and the
     interrupt re-raises. The checkpoint store needs no special handling
     — its writes are atomic and happen per completed cell, so whatever
     finished before the signal is already durable.
-
-    Handlers can only be installed from the main thread; elsewhere the
-    default behaviour is kept (a KeyboardInterrupt raised by a cell is
-    still recorded).
     """
-    received: list[int] = []
+    received: list[str] = []
 
-    def _handler(signum, frame):
-        received.append(signum)
+    def interrupt(name: str) -> None:
+        received.append(name)
         raise KeyboardInterrupt
 
-    previous: dict[int, Any] = {}
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, _handler)
-            except (ValueError, OSError):  # non-main interpreter quirks
-                pass
     try:
-        yield
+        with handle_signals(interrupt):
+            yield
     except KeyboardInterrupt:
-        name = (
-            signal.Signals(received[-1]).name if received else "SIGINT"
-        )
-        recorder.interrupted(name)
+        recorder.interrupted(received[-1] if received else "SIGINT")
         raise
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
 
 def _announce_faults(plan, cells: Sequence[Cell], recorder: RunMetrics):
@@ -691,25 +422,23 @@ def _announce_faults(plan, cells: Sequence[Cell], recorder: RunMetrics):
             )
 
 
-def _corrupt_trace_records(
-    plan, cells: Sequence[Cell], recorder: RunMetrics
-) -> None:
-    """Apply planned ``corrupt-trace`` damage before any cell runs."""
-    done: set[str] = set()
+def _corrupt_records(plan, action: str, cells, recorder, path_of) -> None:
+    """Apply planned ``action`` damage to each victim cell's record.
+
+    ``path_of(index, cell)`` names the on-disk record (or is falsy when
+    the cell has none), so detection and repair run against real damage.
+    """
+    done: set[str] = set()  # a second flip would undo the first
     for trigger in plan.store_triggers():
-        if trigger.action != "corrupt-trace" or trigger.label in done:
-            continue
-        for cell in cells:
-            if cell.label == trigger.label and cell.workload is not None:
-                path = trace_cache_path(*cell.workload)
-                if path is not None and faults.corrupt_file(path):
-                    done.add(trigger.label)
-                    recorder.fault_event(
-                        cell.label,
-                        trigger.action,
-                        trigger.attempt,
-                        "fired",
-                    )
+        for index, cell in enumerate(cells):
+            if trigger.action != action or cell.label != trigger.label:
+                continue
+            path = path_of(index, cell)
+            if cell.label not in done and path and faults.corrupt_file(path):
+                done.add(cell.label)
+                recorder.fault_event(
+                    cell.label, action, trigger.attempt, "fired"
+                )
                 break
 
 
@@ -728,42 +457,33 @@ def _prefill_from_store(
     get persisted either way) and, when the store was opened with
     ``resume=True``, fills ``results`` slots from verified records.
     Planned ``corrupt-checkpoint`` faults are applied just before the
-    load so the corruption-detection path runs against real damage.
+    loads.
     """
     for index, cell in enumerate(cells):
         try:
-            fingerprint = cell_fingerprint(experiment_id, cell)
+            fingerprints[index] = cell_fingerprint(experiment_id, cell)
         except CheckpointKeyError as exc:
             recorder.checkpoint_event(
                 cell.label, "unfingerprintable", reason=str(exc)
             )
-            continue
-        fingerprints[index] = fingerprint
-        if not store.resume:
-            continue
-        if plan is not None:
-            for trigger in plan.store_triggers():
-                if (
-                    trigger.action == "corrupt-checkpoint"
-                    and trigger.label == cell.label
-                    and faults.corrupt_file(store.path_for(fingerprint))
-                ):
-                    recorder.fault_event(
-                        cell.label,
-                        trigger.action,
-                        trigger.attempt,
-                        "fired",
-                    )
-        record = store.load(fingerprint, cell.label)
-        if record is None:
-            continue
+    if not store.resume:
+        return
+    if plan is not None:
+        _corrupt_records(
+            plan, "corrupt-checkpoint", cells, recorder,
+            lambda i, _: i in fingerprints
+            and store.path_for(fingerprints[i]),
+        )
+    for index, fingerprint in fingerprints.items():
+        label = cells[index].label
+        record = store.load(fingerprint, label)
         if isinstance(record, CheckpointCorrupt):
             recorder.checkpoint_event(
-                cell.label, "corrupt", fingerprint, record.reason
+                label, "corrupt", fingerprint, record.reason
             )
-            continue
-        results[index] = record.payload
-        recorder.checkpoint_event(cell.label, "resume", fingerprint)
+        elif record is not None:
+            results[index] = record.payload
+            recorder.checkpoint_event(label, "resume", fingerprint)
 
 
 def run_sharded(
@@ -780,10 +500,8 @@ def run_sharded(
     """Run a cell-structured experiment module end to end.
 
     ``keep_going``, ``retry`` and ``metrics`` thread straight through to
-    :func:`execute_cells`. When failed cells survive (keep-going mode),
-    they are listed in the result's ``failures`` field, appended to the
-    report text, and recorded under ``data["_failed_cells"]`` so both
-    humans and shape-checking tests can see the gaps.
+    :func:`execute_cells`; the results are assembled by
+    :func:`assemble_result`.
 
     ``checkpoint`` makes the run durable: every completed cell is
     persisted atomically as it finishes, and a store opened with
@@ -801,8 +519,13 @@ def run_sharded(
     plan = faults.active_plan()
     if plan is not None:
         _announce_faults(plan, cells, recorder)
-        _corrupt_trace_records(plan, cells, recorder)
-    results: list[Any] = [_PENDING] * len(cells)
+        _corrupt_records(
+            plan, "corrupt-trace", cells, recorder,
+            lambda _, cell: cell.workload
+            and trace_cache_path(*cell.workload),
+        )
+    pending = object()
+    results: list[Any] = [pending] * len(cells)
     fingerprints: dict[int, str] = {}
     if checkpoint is not None:
         _prefill_from_store(
@@ -814,22 +537,15 @@ def run_sharded(
             plan,
             recorder,
         )
-    remaining = [i for i, slot in enumerate(results) if slot is _PENDING]
-    index_of = {id(cells[i]): i for i in remaining}
-
-    def _persist(cell: Cell, payload: Any) -> None:
-        fingerprint = fingerprints.get(index_of[id(cell)])
-        if fingerprint is None or checkpoint is None:
-            return
-        saved = checkpoint.save(
-            fingerprint, cell.label, experiment_id, payload
-        )
-        recorder.checkpoint_event(
-            cell.label, "saved" if saved else "save-failed", fingerprint
-        )
-
+    remaining = [i for i, slot in enumerate(results) if slot is pending]
+    persist = None
     previous_env = os.environ.get(CHECKPOINT_ENV)
     if checkpoint is not None:
+        persist = CellCheckpoint(
+            checkpoint,
+            experiment_id,
+            tuple(fingerprints.get(i) for i in remaining),
+        )
         # Publish the store location so the workload prewarm sweep can
         # reap orphaned record temp files from earlier killed runs.
         os.environ[CHECKPOINT_ENV] = str(checkpoint.directory)
@@ -841,7 +557,7 @@ def run_sharded(
                 keep_going=keep_going,
                 retry=retry,
                 metrics=recorder,
-                on_result=_persist if checkpoint is not None else None,
+                checkpoint=persist,
             )
     finally:
         if checkpoint is not None:
@@ -852,9 +568,24 @@ def run_sharded(
         recorder.end_experiment()
     for index, payload in zip(remaining, executed):
         results[index] = payload
-    result = module.combine(
-        cells, results, n_tasks=n_tasks, quick=quick, **kwargs
+    return assemble_result(
+        module, cells, results, n_tasks=n_tasks, quick=quick, **kwargs
     )
+
+
+def assemble_result(
+    module, cells: Sequence[Cell], results: list, **kwargs
+) -> ExperimentResult:
+    """Combine a grid's results, listing any failed cells as gaps.
+
+    Calls the driver's ``combine`` with the cells and results in cell
+    order. Failed cells (keep-going mode) are listed in the result's
+    ``failures`` field, appended to the report text, and recorded under
+    ``data["_failed_cells"]`` so both humans and shape-checking tests
+    can see the gaps. Local runs and sweep-service jobs both end here,
+    which is what makes a fetched job byte-identical to a local run.
+    """
+    result = module.combine(cells, results, **kwargs)
     failures = tuple(r for r in results if is_failure(r))
     if failures:
         result = replace(

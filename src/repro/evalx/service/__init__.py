@@ -39,6 +39,7 @@ many processes) with reasonably synchronised clocks for lease expiry::
                <id>.result.pkl        combined ExperimentResult
       queue/   <id>/manifest.json     cells + fingerprints + shards
                <id>/fails/<fp>.json   final per-cell failure markers
+               <id>/spent/<fp>        attempts spent by dead workers
       store/   <fp>.ckpt.json         completed-cell records (PR 4)
                <fp>.lease.json        in-flight claims
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import signal
 import sys
-import threading
 import time
 
 
@@ -322,32 +320,20 @@ def _drain_on_signals(request_drain):
     the normal path, and returns; its name is appended to the yielded
     list so the caller can record a ``drain`` metrics event. A second
     signal raises ``KeyboardInterrupt`` — the operator's escalation
-    when the in-flight cell is wedged. No-op off the main thread
-    (signal handlers can only be installed there), mirroring the
-    engine's PR 4 interrupt handling.
+    when the in-flight cell is wedged. No-op off the main thread.
     """
-    received: list[str] = []
-    if threading.current_thread() is not threading.main_thread():
-        yield received
-        return
+    from repro.evalx.parallel import handle_signals
 
-    def _handler(signum, frame):
+    received: list[str] = []
+
+    def drain(name: str) -> None:
         if received:
             raise KeyboardInterrupt
-        received.append(signal.Signals(signum).name)
+        received.append(name)
         request_drain()
 
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _handler)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
-    try:
+    with handle_signals(drain):
         yield received
-    finally:
-        for signum, old in previous.items():
-            signal.signal(signum, old)
 
 
 def _cmd_coordinator(args) -> int:
@@ -443,7 +429,7 @@ def _arm_faults(root: str, spec: str, seed: int) -> None:
     faults) plus the synthetic ``expand:<job_id>`` /
     ``finalise:<job_id>`` stage labels (coordinator crash windows).
     """
-    from repro.evalx import faults
+    from repro.evalx.__main__ import _install_fault_plan
     from repro.evalx.service import manifest as mf
     from repro.evalx.service.jobs import JobStore
 
@@ -456,13 +442,7 @@ def _arm_faults(root: str, spec: str, seed: int) -> None:
         except mf.ManifestError:
             continue
         labels.extend(entry.label for entry in manifest.cells)
-    plan = faults.FaultPlan.compile(spec, seed=seed, labels=labels)
-    faults.install(plan)
-    print(
-        f"[fault injection armed: {len(plan.triggers)} trigger(s) "
-        f"from spec {spec!r}, seed {seed}]",
-        file=sys.stderr,
-    )
+    _install_fault_plan(spec, seed, labels)
 
 
 _COMMANDS = {

@@ -12,9 +12,10 @@ lease queue and the checkpoint store. One ``run_once`` pass:
    load each cell's verified checkpoint record (a corrupt record is
    discarded exactly as ``--resume`` does, reopening the cell for
    workers), slot job-scoped fail markers in as
-   :class:`~repro.evalx.parallel.CellFailure` gaps, call the driver's
-   ``combine`` with the cells in submission order, and publish the
-   pickled :class:`~repro.evalx.result.ExperimentResult`.
+   :class:`~repro.evalx.parallel.CellFailure` gaps, assemble them with
+   :func:`~repro.evalx.parallel.assemble_result` (the same tail a local
+   run ends in), and publish the pickled
+   :class:`~repro.evalx.result.ExperimentResult`.
 
 Because payloads round-trip pickle exactly as checkpoint resume does,
 a job's fetched result is byte-identical to a serial ``run_sharded`` of
@@ -57,19 +58,16 @@ import importlib
 import pickle
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.evalx import faults
 from repro.evalx.checkpoint import (
-    CheckpointCorrupt,
     CheckpointKeyError,
     CheckpointStore,
     cell_fingerprint,
 )
 from repro.evalx.metrics import RunMetrics
-from repro.evalx.parallel import CellFailure, is_failure
-from repro.evalx.report import render_failures
+from repro.evalx.parallel import assemble_result, is_failure
 from repro.evalx.result import ExperimentResult
 from repro.evalx.service import manifest as mf
 from repro.evalx.service.costs import CostModel, shard_cells
@@ -336,12 +334,10 @@ class Coordinator:
                 error=f"cannot expand sweep: {exc!r}",
             )
             return False
-        fingerprints = []
         try:
-            for cell in cells:
-                fingerprints.append(
-                    cell_fingerprint(spec.experiment, cell)
-                )
+            fingerprints = [
+                cell_fingerprint(spec.experiment, cell) for cell in cells
+            ]
         except CheckpointKeyError as exc:
             self.jobs.update(
                 record,
@@ -423,50 +419,36 @@ class Coordinator:
             for entry in manifest.cells
         ):
             return False  # still in flight
-        results: list = []
-        for entry in manifest.cells:
-            if entry.fingerprint in done:
-                loaded = self.store.load(entry.fingerprint, entry.label)
-                if loaded is None or isinstance(
-                    loaded, CheckpointCorrupt
-                ):
-                    # The bad record was discarded; the cell is open
-                    # again and a worker will redo it. Finalise later.
-                    if isinstance(loaded, CheckpointCorrupt):
-                        self.metrics.checkpoint_event(
-                            entry.label,
-                            "corrupt",
-                            entry.fingerprint,
-                            loaded.reason,
-                        )
-                    return False
-                results.append(loaded.payload)
-                continue
-            failure = mf.read_fail(self.root, job_id, entry.fingerprint)
-            if failure is None:  # marker vanished between the scans
-                return False
-            if not record.spec.keep_going:
-                self.jobs.update(
-                    record,
-                    state="failed",
-                    error=(
-                        f"cell {failure.label!r} failed "
-                        f"({failure.kind} after {failure.attempts} "
-                        f"attempt(s)): {failure.error}"
-                    ),
-                )
-                return False
-            results.append(failure)
+        results = mf.read_results(
+            self.root, job_id, self.store, manifest.cells, self.metrics
+        )
+        if results is None:
+            return False  # a corrupt record reopened its cell
+        failure = next((r for r in results if is_failure(r)), None)
+        if failure is not None and not record.spec.keep_going:
+            self.jobs.update(
+                record,
+                state="failed",
+                error=(
+                    f"cell {failure.label!r} failed "
+                    f"({failure.kind} after {failure.attempts} "
+                    f"attempt(s)): {failure.error}"
+                ),
+            )
+            return False
         spec = record.spec
         cells = [entry.cell for entry in manifest.cells]
         try:
-            result = manifest_combine(
-                spec.experiment,
+            module = importlib.import_module(
+                f"repro.evalx.experiments.{spec.experiment}"
+            )
+            result = assemble_result(
+                module,
                 cells,
                 results,
-                spec.n_tasks,
-                spec.quick,
-                params=spec.params,
+                n_tasks=spec.n_tasks,
+                quick=spec.quick,
+                **spec.params,
             )
         except Exception as exc:
             self.jobs.update(
@@ -480,40 +462,3 @@ class Coordinator:
         faults.fire(f"finalise:{job_id}", 1)
         self.jobs.update(record, state="done")
         return True
-
-
-def manifest_combine(
-    experiment: str,
-    cells: list,
-    results: list,
-    n_tasks: int | None,
-    quick: bool,
-    params: dict | None = None,
-):
-    """Assemble a distributed job exactly as ``run_sharded`` would.
-
-    Same ``combine`` call, same failure appendix, same
-    ``data["_failed_cells"]`` bookkeeping — this is what makes a fetched
-    job result byte-identical to a local serial run of the same sweep.
-    ``params`` carries the job spec's extra driver keyword arguments,
-    which ``combine`` needs exactly as ``cells`` did.
-    """
-    module = importlib.import_module(
-        f"repro.evalx.experiments.{experiment}"
-    )
-    result = module.combine(
-        cells, results, n_tasks=n_tasks, quick=quick, **(params or {})
-    )
-    failures = tuple(r for r in results if is_failure(r))
-    if failures:
-        result = replace(
-            result,
-            failures=failures,
-            text=result.text + "\n\n" + render_failures(failures),
-        )
-        result.data["_failed_cells"] = [f.label for f in failures]
-    return result
-
-
-# Re-exported for the worker's fail markers.
-__all__ = ["Coordinator", "manifest_combine", "CellFailure"]

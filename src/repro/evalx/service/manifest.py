@@ -1,17 +1,20 @@
 """The queue manifest: one job's cells, fingerprints, and shards.
 
-Written once by the coordinator when it expands a submitted job, read
-by every worker that serves the job. Cells travel as base64 pickles
-(module-level fn by reference + picklable kwargs — the same contract
-the process-pool scheduler relies on), so workers need the same code
-checkout, which a multi-host deployment of this repo has by
-construction.
+Written once by the coordinator when it expands a submitted job (or by
+a local ``--jobs N`` run), read by every worker that serves the job.
+Cells travel as base64 pickles (module-level fn by reference +
+picklable kwargs), so workers need the same code checkout, which a
+multi-host deployment of this repo has by construction.
 
 Final per-cell failures are job-scoped *fail markers* under
 ``<root>/queue/<job>/fails/<fingerprint>.json``: unlike results,
 failures are environmental, so they must not be content-addressed into
 the shared store where a later job with the same fingerprint would
-inherit them.
+inherit them. Attempts a cell already spent in workers that died
+running it are job-scoped too, under
+``<root>/queue/<job>/spent/<fingerprint>``: a local run's supervising
+parent charges each death to the retry budget and writes the count, so
+the next worker to lease the cell carries on from there.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ReproError
+from repro.evalx.checkpoint import (
+    CheckpointCorrupt,
+    CheckpointHit,
+    CheckpointStore,
+)
+from repro.evalx.metrics import RunMetrics
 from repro.evalx.parallel import Cell, CellFailure
 from repro.evalx.service.costs import Shard
 from repro.utils.fsio import fsync_write_text
@@ -103,15 +112,20 @@ def write_manifest(
         ],
     }
     path = manifest_path(root, job_id)
+    _publish(path, json.dumps(data) + "\n")
+    return path
+
+
+def _publish(path: Path, text: str) -> None:
+    """Durably replace ``path`` via a pid-unique sibling temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{MANIFEST_NAME}.tmp-{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
-        fsync_write_text(tmp, json.dumps(data) + "\n")
+        fsync_write_text(tmp, text)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
-    return path
 
 
 def read_manifest(root: str | Path, job_id: str) -> Manifest:
@@ -221,6 +235,37 @@ def read_fail(
         return None
 
 
+def read_results(
+    root: str | Path,
+    job_id: str,
+    store: CheckpointStore,
+    cells: Sequence[ManifestCell],
+    metrics: RunMetrics,
+) -> list | None:
+    """Each cell's verified payload or fail marker, in manifest order.
+
+    ``None`` while any cell is still open. A record that fails
+    verification is discarded, which reopens its cell, and reported as
+    a ``corrupt`` checkpoint event.
+    """
+    results = []
+    for entry in cells:
+        loaded = store.load(entry.fingerprint, entry.label)
+        if isinstance(loaded, CheckpointHit):
+            results.append(loaded.payload)
+            continue
+        if isinstance(loaded, CheckpointCorrupt):
+            metrics.checkpoint_event(
+                entry.label, "corrupt", entry.fingerprint, loaded.reason
+            )
+            return None
+        failure = read_fail(root, job_id, entry.fingerprint)
+        if failure is None:
+            return None
+        results.append(failure)
+    return results
+
+
 def failed_fingerprints(root: str | Path, job_id: str) -> set[str]:
     """Fingerprints with a recorded final failure for this job."""
     fails = queue_dir(root, job_id) / "fails"
@@ -231,3 +276,26 @@ def failed_fingerprints(root: str | Path, job_id: str) -> set[str]:
         for path in fails.glob("*.json")
         if not path.name.startswith(".")
     }
+
+
+# -- spent attempts ---------------------------------------------------
+
+
+def spent_path(root: str | Path, job_id: str, fingerprint: str) -> Path:
+    return queue_dir(root, job_id) / "spent" / fingerprint
+
+
+def write_spent(
+    root: str | Path, job_id: str, fingerprint: str, attempts: int
+) -> None:
+    """Atomically record the attempts a cell has already consumed."""
+    _publish(spent_path(root, job_id, fingerprint), f"{attempts}\n")
+
+
+def read_spent(root: str | Path, job_id: str, fingerprint: str) -> int:
+    """Attempts the cell already consumed (0 when none were recorded)."""
+    path = spent_path(root, job_id, fingerprint)
+    try:
+        return int(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return 0

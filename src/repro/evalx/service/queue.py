@@ -4,8 +4,10 @@ A lease is one worker's claim on one cell, written as
 ``<fingerprint>.lease.json`` in the same directory as the checkpoint
 record the cell will become. The protocol is deliberately tiny:
 
-* **Acquire** — atomic ``O_EXCL`` create. Exactly one worker wins a
-  fresh claim; everyone else moves on to the next open cell.
+* **Acquire** — the complete claim is hard-linked into place, which
+  fails if a lease already exists. Exactly one worker wins a fresh
+  claim, and no reader ever sees a half-written one; everyone else
+  moves on to the next open cell.
 * **Heartbeat** — the owner periodically rewrites the lease (atomic
   tmp + ``os.replace``) pushing ``expires_at`` forward. A healthy
   worker's lease never expires, however long the cell runs.
@@ -151,7 +153,7 @@ class LeaseQueue:
     ) -> Lease | None:
         """Try to claim a cell; the owned lease when this worker won.
 
-        Fresh cells are claimed with an exclusive create (attempt 1);
+        Fresh cells are claimed with an exclusive link (attempt 1);
         an expired lease is stolen with an atomic replace followed by a
         re-read, so of N racing stealers exactly the last writer
         proceeds — and the stolen claim carries ``attempt + 1``.
@@ -163,10 +165,17 @@ class LeaseQueue:
             return None
         path = self.store.lease_path_for(fingerprint)
         fresh = self._make(fingerprint, label, job, worker, attempt=1)
+        tmp = path.with_name(f".{fingerprint}.lease.tmp-{os.getpid()}")
         try:
             self.store.directory.mkdir(parents=True, exist_ok=True)
-            with open(path, "x", encoding="utf-8") as handle:
-                handle.write(self._body(fresh))
+            # Link a complete temp file into place: a racing reader
+            # never sees a half-written claim, which would read as
+            # damaged and so as stealable.
+            tmp.write_text(self._body(fresh), encoding="utf-8")
+            try:
+                os.link(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
         except FileExistsError:
             current = self.read(fingerprint)
             if current is None:
@@ -191,6 +200,10 @@ class LeaseQueue:
             )
             return stolen
         except OSError:
+            return None
+        if self.store.has(fingerprint):
+            # The owner published and released while we claimed it.
+            path.unlink(missing_ok=True)
             return None
         self.metrics.lease_event(
             label, "leased", fingerprint, worker=worker, job=job

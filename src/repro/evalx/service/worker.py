@@ -17,9 +17,11 @@ A worker is one process on one host. Each ``run_once``:
    forever. Known-failed fingerprints are memoised per job, so a claim
    pass stats at most one new marker per candidate cell instead of
    rescanning the whole fails directory.
-3. Runs the cell in-process with the engine's retry discipline, under a
-   heartbeat thread that renews the lease for as long as the cell
-   takes.
+3. Runs the cell in-process through the engine's one retry loop
+   (:func:`~repro.evalx.parallel.run_attempts`), under a heartbeat
+   thread that renews the lease for as long as the cell takes. The
+   attempt count starts after any attempts the cell already spent in
+   workers that died running it (a local run's parent records those).
 4. Publishes the result as an ordinary checkpoint record — the durable
    "done" bit every other participant polls — and releases the lease.
    A failure that survives the retry budget becomes a job-scoped fail
@@ -33,9 +35,15 @@ by the CLI) lets the in-flight cell finish, then stops the serve loop
 before the next claim — leases are released by the normal completion
 path and the exit is clean.
 
+Local runs: ``--jobs N`` forks N workers over a run-scoped service
+directory (:mod:`repro.evalx.service.local`). Such a worker is given
+its parent's pid and exits once the parent is gone, checked on every
+heartbeat tick (at least every ``PARENT_CHECK_SECONDS``) and before
+every claim, so a killed run leaves no orphans.
+
 Chaos hooks: :func:`repro.evalx.faults.fire` runs at the top of every
-cell attempt exactly as in pooled runs (``raise``/``hang``/``kill``),
-and :func:`repro.evalx.faults.fire_worker` runs right after a lease is
+cell attempt exactly as in serial runs (``raise``/``hang``/``kill``),
+and it runs again with the service actions right after a lease is
 acquired — with the lease's attempt generation, so ``kill-worker@X~0``
 kills *every* worker that ever leases X (a poison cell) — and a
 planned ``kill-worker`` fault dies holding a live lease, the precise
@@ -48,17 +56,14 @@ import os
 import socket
 import threading
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.errors import ExperimentError
 from repro.evalx import faults
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.metrics import RunMetrics
-from repro.evalx.parallel import (
-    CellFailure,
-    RetryPolicy,
-    _backoff,
-    _run_cell_instrumented,
-)
+from repro.evalx.parallel import CellFailure, RetryPolicy, run_attempts
 from repro.evalx.service import manifest as mf
 from repro.evalx.service.jobs import JobRecord, JobStore
 from repro.evalx.service.queue import (
@@ -79,11 +84,28 @@ def default_worker_id() -> str:
 #: expires and becomes stealable.
 RENEW_FAILURE_THRESHOLD = 3
 
+#: Exit status of a local worker that found its parent gone.
+ORPHAN_EXIT_STATUS = 3
+
+#: How often a local worker's heartbeat checks that its parent lives.
+PARENT_CHECK_SECONDS = 0.5
+
 #: Lease generations (fresh claim + steals) a cell may burn before it
 #: is quarantined. Three mirrors the engine's renew threshold: worker
 #: deaths are rare and independent, so three in a row on one cell is a
 #: poison cell, not bad luck.
 DEFAULT_MAX_LEASE_ATTEMPTS = 3
+
+
+@dataclass
+class _Held:
+    """The lease a worker's heartbeat thread renews."""
+
+    entry: mf.ManifestCell
+    job_id: str
+    lost: threading.Event
+    renew_at: float
+    failures: int = 0  # consecutive failed renewals
 
 
 class Worker:
@@ -95,7 +117,8 @@ class Worker:
         ttl_seconds: Lease lifetime between heartbeats.
         retry: Engine retry policy for in-process attempts (the
             per-cell timeout is not enforced here, like the serial
-            path; a dead worker is handled by lease expiry instead).
+            path; a dead worker is handled by lease expiry instead, or
+            by the parent of a local run).
         metrics: Optional recorder (cell attempts + lease events).
         renew_failure_threshold: Consecutive heartbeat renewal
             failures after which the worker treats its lease as lost
@@ -103,6 +126,14 @@ class Worker:
         max_lease_attempts: Lease generations (fresh + steals) a cell
             may burn before this worker quarantines it instead of
             stealing the expired claim.
+        store: Where records and leases live; defaults to the service
+            directory's ``store``. A local run passes the caller's
+            checkpoint store.
+        parent_pid: Set for a forked local worker: the worker exits
+            once ``os.getppid()`` no longer returns it.
+        job: Set for a forked local worker: the one running job it
+            serves and its manifest, handed over in memory instead of
+            read from the job store.
     """
 
     def __init__(
@@ -114,11 +145,17 @@ class Worker:
         metrics: RunMetrics | None = None,
         renew_failure_threshold: int = RENEW_FAILURE_THRESHOLD,
         max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
+        store: CheckpointStore | None = None,
+        parent_pid: int | None = None,
+        job: tuple[JobRecord, mf.Manifest] | None = None,
     ) -> None:
         self.root = Path(root)
         self.worker_id = worker_id or default_worker_id()
         self.jobs = JobStore(self.root)
-        self.store = CheckpointStore(self.root / "store", resume=True)
+        self.store = store or CheckpointStore(
+            self.root / "store", resume=True
+        )
+        self.parent_pid = parent_pid
         self.metrics = metrics or RunMetrics.disabled()
         self.queue = LeaseQueue(
             self.store, ttl_seconds=ttl_seconds, metrics=self.metrics
@@ -132,12 +169,25 @@ class Worker:
         # a claim pass checks one path per candidate instead of
         # re-globbing the fails directory every time.
         self._failed: dict[str, set[str]] = {}
+        # A manifest never changes once published (a re-expansion
+        # rebuilds the same cells), so each job's is read once.
+        self._manifests: dict[str, mf.Manifest] = {}
+        self._pinned = job[0] if job is not None else None
+        if job is not None:
+            self._manifests[job[0].job_id] = job[1]
+        self._done: dict[str, set[str]] = {}
         self._drain = threading.Event()
+        self._held: _Held | None = None  # None between cells
+        self._beat: threading.Thread | None = None
+        self._beat_lock = threading.Lock()
+        self._beat_wake = threading.Event()
 
     # -- scheduling ---------------------------------------------------
 
     def _job_ring(self) -> list[JobRecord]:
         """Running jobs, least-served by this worker first."""
+        if self._pinned is not None:
+            return [self._pinned]
         running = self.jobs.list_jobs(state="running")
         return sorted(
             running,
@@ -172,11 +222,19 @@ class Worker:
         ``max_lease_attempts`` marks a poison cell: instead of stealing
         it (and probably dying like the previous owners), the cell is
         quarantined with a typed fail marker and skipped.
+
+        Cells seen done are skipped unchecked until a pass finds
+        nothing, which forgets them (a record discarded as corrupt
+        reopens its cell): a claim costs O(open cells), not O(grid).
         """
-        try:
-            manifest = mf.read_manifest(self.root, job.job_id)
-        except mf.ManifestError:
-            return None
+        done = self._done.setdefault(job.job_id, set())
+        manifest = self._manifests.get(job.job_id)
+        if manifest is None:
+            try:
+                manifest = mf.read_manifest(self.root, job.job_id)
+            except mf.ManifestError:
+                return None
+            self._manifests[job.job_id] = manifest
         shards = list(manifest.shards)
         # Shard affinity: resume the shard this worker last served so
         # the cost-balanced grouping stays a grouping.
@@ -185,14 +243,18 @@ class Worker:
             shards.sort(key=lambda s: (s.index != preferred, s.index))
         for shard in shards:
             for entry in manifest.shard_cells(shard):
-                if self._is_failed(job.job_id, entry.fingerprint):
+                if entry.fingerprint in done or self._is_failed(
+                    job.job_id, entry.fingerprint
+                ):
                     continue
                 if self.store.has(entry.fingerprint):
+                    done.add(entry.fingerprint)
                     continue
                 current = self.queue.read(entry.fingerprint)
+                if current is not None and not current.expired():
+                    continue  # a live worker holds it
                 if (
                     current is not None
-                    and current.expired()
                     and current.attempt >= self.max_lease_attempts
                 ):
                     self._quarantine(job, entry, current)
@@ -206,6 +268,7 @@ class Worker:
                 if lease is not None:
                     self._shard_affinity[job.job_id] = shard.index
                     return entry, lease
+        done.clear()
         return None
 
     def _quarantine(
@@ -254,7 +317,7 @@ class Worker:
             self._served[job.job_id] = (
                 self._served.get(job.job_id, 0) + 1
             )
-            faults.fire_worker(entry.label, attempt=lease.attempt)
+            faults.fire(entry.label, lease.attempt, faults.SERVICE_ACTIONS)
             self._execute(job, entry)
             return entry.label
         return None
@@ -274,6 +337,12 @@ class Worker:
     def draining(self) -> bool:
         return self._drain.is_set()
 
+    def _orphaned(self) -> bool:
+        """Whether this is a local worker whose parent has gone."""
+        return self.parent_pid is not None and (
+            os.getppid() != self.parent_pid
+        )
+
     def serve(
         self,
         poll_seconds: float = 0.5,
@@ -288,7 +357,7 @@ class Worker:
         """
         ran = 0
         idle = 0
-        while not self._drain.is_set():
+        while not self._drain.is_set() and not self._orphaned():
             label = self.run_once()
             if label is None:
                 idle += 1
@@ -316,115 +385,79 @@ class Worker:
         publication: a zombie worker frozen past its TTL can wake and
         reach this point *before* its heartbeat accumulates enough
         failures to set ``lost``, and must still not overwrite whatever
-        the thief published.
+        the thief published. Saving the record is part of each attempt:
+        a result that cannot be saved fails the attempt, so it ends as
+        a fail marker instead of an open cell leased again forever.
         """
-        stop = threading.Event()
-        lost = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat,
-            args=(entry, job.job_id, stop, lost),
-            daemon=True,
-        )
-        beat.start()
+        lost = self._hold(entry, job.job_id)
         try:
-            retries = max(self.retry.retries, job.spec.retries)
-            attempts = 0
-            while True:
-                if lost.is_set():
+            policy = replace(
+                self.retry,
+                retries=max(self.retry.retries, job.spec.retries),
+            )
+            spent = mf.read_spent(self.root, job.job_id, entry.fingerprint)
+            published = False
+
+            def publish(payload) -> None:
+                nonlocal published
+                if lost.is_set() or not self.queue.owns(
+                    entry.fingerprint, self.worker_id
+                ):
+                    return  # not ours any more: abandoned below
+                saved = self.store.save(
+                    entry.fingerprint,
+                    entry.label,
+                    job.spec.experiment,
+                    payload,
+                )
+                self.metrics.checkpoint_event(
+                    entry.label,
+                    "saved" if saved else "save-failed",
+                    entry.fingerprint,
+                )
+                if not saved:
+                    # The record is the only way the result gets out.
+                    raise ExperimentError(
+                        "cell result could not be published (not "
+                        "picklable, or the store write failed)"
+                    )
+                published = True
+
+            outcome, _ = run_attempts(
+                entry.cell,
+                policy,
+                self.metrics,
+                first=spent + 1,
+                lost=lost,
+                publish=publish,
+            )
+            if lost.is_set():
+                self._abandon(job, entry)
+                return
+            if published:
+                action = "completed"
+            elif isinstance(outcome, CellFailure) and self.queue.owns(
+                entry.fingerprint, self.worker_id
+            ):
+                if not mf.write_fail(
+                    self.root, job.job_id, entry.fingerprint, outcome
+                ):
+                    # Someone else's marker is already final.
                     self._abandon(job, entry)
                     return
-                attempts += 1
-                started = time.perf_counter()
-                try:
-                    outcome = _run_cell_instrumented(
-                        entry.cell, attempts
-                    )
-                except Exception as exc:
-                    wall = time.perf_counter() - started
-                    final = attempts > retries
-                    self.metrics.cell_attempt(
-                        entry.label,
-                        status="error",
-                        attempt=attempts,
-                        wall_seconds=wall,
-                        final=final,
-                        worker_pid=os.getpid(),
-                        error=repr(exc),
-                    )
-                    if not final:
-                        time.sleep(_backoff(self.retry, attempts))
-                        continue
-                    if lost.is_set():
-                        self._abandon(job, entry)
-                        return
-                    if not self.queue.owns(
-                        entry.fingerprint, self.worker_id
-                    ):
-                        self._abandon(job, entry)
-                        return
-                    published = mf.write_fail(
-                        self.root,
-                        job.job_id,
-                        entry.fingerprint,
-                        CellFailure(
-                            label=entry.label,
-                            kind="error",
-                            error=repr(exc),
-                            attempts=attempts,
-                            wall_seconds=wall,
-                        ),
-                    )
-                    if not published:
-                        # Someone else's marker is already final.
-                        self._abandon(job, entry)
-                        return
-                    self.metrics.lease_event(
-                        entry.label,
-                        "failed",
-                        entry.fingerprint,
-                        worker=self.worker_id,
-                        job=job.job_id,
-                    )
-                    return
-                else:
-                    self.metrics.cell_attempt(
-                        entry.label,
-                        status="ok",
-                        attempt=attempts,
-                        wall_seconds=outcome.wall_seconds,
-                        worker_pid=outcome.worker_pid,
-                        cache=outcome.cache,
-                    )
-                    if lost.is_set():
-                        self._abandon(job, entry)
-                        return
-                    if not self.queue.owns(
-                        entry.fingerprint, self.worker_id
-                    ):
-                        self._abandon(job, entry)
-                        return
-                    saved = self.store.save(
-                        entry.fingerprint,
-                        entry.label,
-                        job.spec.experiment,
-                        outcome.payload,
-                    )
-                    self.metrics.checkpoint_event(
-                        entry.label,
-                        "saved" if saved else "save-failed",
-                        entry.fingerprint,
-                    )
-                    self.metrics.lease_event(
-                        entry.label,
-                        "completed",
-                        entry.fingerprint,
-                        worker=self.worker_id,
-                        job=job.job_id,
-                    )
-                    return
+                action = "failed"
+            else:
+                self._abandon(job, entry)
+                return
+            self.metrics.lease_event(
+                entry.label,
+                action,
+                entry.fingerprint,
+                worker=self.worker_id,
+                job=job.job_id,
+            )
         finally:
-            stop.set()
-            beat.join(timeout=5.0)
+            self._hold(None, job.job_id)
             self.queue.release(entry.fingerprint, self.worker_id)
 
     def _abandon(self, job: JobRecord, entry: mf.ManifestCell) -> None:
@@ -443,32 +476,84 @@ class Worker:
             job=job.job_id,
         )
 
-    def _heartbeat(
-        self,
-        entry: mf.ManifestCell,
-        job_id: str,
-        stop: threading.Event,
-        lost: threading.Event,
-    ) -> None:
-        """Renew the lease at a third of its TTL until told to stop.
+    def _hold(
+        self, entry: mf.ManifestCell | None, job_id: str
+    ) -> threading.Event:
+        """Hand the heartbeat thread the lease to renew (None: stop).
+
+        Returns the lease's ``lost`` event. Renewals run under the same
+        lock, so once the lease is handed back none is in flight and a
+        release cannot race one. One thread serves every cell of this
+        worker; it is started here when none is running.
+        """
+        lost = threading.Event()
+        interval = max(self.queue.ttl_seconds / 3.0, 0.05)
+        with self._beat_lock:
+            self._held = None
+            if entry is not None:
+                renew_at = time.monotonic() + interval
+                self._held = _Held(entry, job_id, lost, renew_at)
+                if self._beat is None:
+                    self._beat = threading.Thread(
+                        target=self._heartbeat, daemon=True
+                    )
+                    self._beat.start()
+        self._beat_wake.set()
+        return lost
+
+    def _heartbeat(self) -> None:
+        """Renew the held lease at a third of its TTL.
 
         A renewal can fail because ownership moved (the lease expired
         while this worker was descheduled and someone stole it) or
         because the write itself failed (ENOSPC, queue directory
         removed). Either way the lease is dying under a live worker:
         after ``renew_failure_threshold`` consecutive failures the
-        thread sets ``lost`` and exits, and the executor abandons the
-        cell instead of publishing a result it no longer owns.
+        thread sets ``lost`` and stops renewing it, and the executor
+        abandons the cell instead of publishing a result it no longer
+        owns. The thread exits once a whole interval passes with no
+        lease held; the next lease starts a new one.
+
+        A local worker's heartbeat also wakes every
+        ``PARENT_CHECK_SECONDS`` to watch its parent: once the parent is
+        gone the whole process exits, whatever the cell is doing.
         """
         interval = max(self.queue.ttl_seconds / 3.0, 0.05)
-        failures = 0
-        while not stop.wait(interval):
-            if self.queue.renew(
-                entry.fingerprint, entry.label, job_id, self.worker_id
-            ):
-                failures = 0
-                continue
-            failures += 1
-            if failures >= self.renew_failure_threshold:
-                lost.set()
-                return
+        tick = interval
+        if self.parent_pid is not None:
+            tick = min(interval, PARENT_CHECK_SECONDS)
+        idle_since = None
+        while True:
+            with self._beat_lock:
+                held = self._held
+                wait = tick
+                if held is not None and not held.lost.is_set():
+                    wait = min(tick, held.renew_at - time.monotonic())
+            self._beat_wake.wait(max(wait, 0.0))
+            self._beat_wake.clear()
+            if self._orphaned():
+                os._exit(ORPHAN_EXIT_STATUS)
+            with self._beat_lock:
+                held = self._held
+                now = time.monotonic()
+                if held is None:
+                    idle_since = idle_since or now
+                    if now - idle_since >= interval:
+                        self._beat = None
+                        return
+                    continue
+                idle_since = None
+                if now < held.renew_at or held.lost.is_set():
+                    continue
+                held.renew_at = now + interval
+                if self.queue.renew(
+                    held.entry.fingerprint,
+                    held.entry.label,
+                    held.job_id,
+                    self.worker_id,
+                ):
+                    held.failures = 0
+                    continue
+                held.failures += 1
+                if held.failures >= self.renew_failure_threshold:
+                    held.lost.set()

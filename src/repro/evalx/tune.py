@@ -629,8 +629,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.inject_faults:
+        from repro.evalx.__main__ import _install_fault_plan
+        from repro.evalx.experiments import tune_rung
+
         _install_fault_plan(
-            args.inject_faults, args.fault_seed, population, spec
+            args.inject_faults,
+            args.fault_seed,
+            [
+                cell.label
+                for cell in tune_rung.cells(
+                    n_tasks=1,
+                    configs=population,
+                    benchmarks=spec.benchmarks,
+                )
+            ],
         )
 
     from repro.evalx.metrics import RunMetrics
@@ -682,30 +694,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"[frontier artifact written to {args.out}]", file=sys.stderr)
     return 0
-
-
-def _install_fault_plan(
-    spec_text: str, seed: int, population: list[str], spec: TuneSpec
-) -> None:
-    """Arm the chaos injector against this search's rung cell labels."""
-    from repro.evalx import faults
-    from repro.evalx.experiments import tune_rung
-
-    labels = [
-        cell.label
-        for cell in tune_rung.cells(
-            n_tasks=1,
-            configs=population,
-            benchmarks=spec.benchmarks,
-        )
-    ]
-    plan = faults.FaultPlan.compile(spec_text, seed=seed, labels=labels)
-    faults.install(plan)
-    print(
-        f"[fault injection armed: {len(plan.triggers)} trigger(s) "
-        f"from spec {spec_text!r}, seed {seed}]",
-        file=sys.stderr,
-    )
 
 
 if __name__ == "__main__":

@@ -193,8 +193,7 @@ def prewarm_workload(name: str, n_tasks: int | None = None) -> str:
     find warm cache entries instead of each regenerating the same trace.
     Also sweeps orphaned temp files left by killed processes — in the
     trace cache and, when a checkpoint store is active, in its record
-    directory too. Returns the benchmark name (a picklable
-    acknowledgement for pools).
+    directory too. Returns the benchmark name.
     """
     sweep_orphan_tmp_files()
     checkpoint_dir = _checkpoint_dir()

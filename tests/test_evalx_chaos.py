@@ -23,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.evalx import faults
+from repro.evalx.chaos import live_group_members
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.faults import (
     FaultPlan,
@@ -322,10 +323,17 @@ def _strip_timing(stdout: str) -> str:
     )
 
 
+def _group_gone(pgid: int, timeout: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not live_group_members(pgid)
+
+
 @pytest.mark.slow
 class TestKillAndResumeCLI:
-    """SIGKILL a pooled checkpointed run; ``--resume`` must finish it
-    byte-identically and without re-running completed cells."""
+    """SIGKILL a ``--jobs 2`` checkpointed run; ``--resume`` must finish
+    it byte-identically and without re-running completed cells."""
 
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
         cache = tmp_path / "trace-cache"
@@ -337,8 +345,9 @@ class TestKillAndResumeCLI:
         assert reference.returncode == 0, reference.stderr
 
         # A hang fault pins the last cell so the run cannot finish
-        # before the kill lands; SIGKILL gives it zero chance to clean
-        # up — exactly an OOM-killer or CI-preemption death.
+        # before the kill lands; SIGKILL to the whole process group
+        # gives it zero chance to clean up — exactly a CI-preemption
+        # death.
         victim = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.evalx", *base,
@@ -351,6 +360,7 @@ class TestKillAndResumeCLI:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -364,11 +374,11 @@ class TestKillAndResumeCLI:
                 time.sleep(0.05)
             else:
                 pytest.fail("no checkpoint records appeared in time")
-            victim.kill()  # SIGKILL: no handlers, no atexit, nothing
         finally:
-            if victim.poll() is None:
-                victim.kill()
+            # SIGKILL: no handlers, no atexit, nothing.
+            os.killpg(victim.pid, signal.SIGKILL)
             victim.wait()
+        assert _group_gone(victim.pid), "a killed run's process survived"
 
         persisted = len(list(store.glob("*.ckpt.json")))
         assert 2 <= persisted < 5  # killed mid-sweep, records survived

@@ -49,6 +49,8 @@ class TestCli:
             "deadline-expiry",
             "cancel-mid-flight",
             "two-tenant-interference",
+            "local-kill-resume",
+            "local-corrupt-record",
         }
 
     def test_fast_scenarios_pass_and_report_is_written(

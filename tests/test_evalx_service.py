@@ -67,6 +67,41 @@ class TestLeaseQueue:
         assert not queue.acquire(self.FP, "gcc", "job1", "w2")
         assert queue.read(self.FP).worker == "w1"
 
+    def test_claim_never_exposes_a_half_written_lease(
+        self, tmp_path, monkeypatch
+    ):
+        # A reader racing a fresh claim must see no lease or a whole
+        # one; a torn claim would read as damaged, hence stealable.
+        queue = _queue(tmp_path)
+        seen = []
+        real_link = os.link
+
+        def racing_link(src, dst):
+            seen.append(queue.read(self.FP))
+            real_link(src, dst)
+            seen.append(queue.read(self.FP))
+
+        monkeypatch.setattr(os, "link", racing_link)
+        assert queue.acquire(self.FP, "gcc", "job1", "w1")
+        assert seen[0] is None
+        assert seen[1].worker == "w1" and not seen[1].expired()
+
+    def test_cell_published_during_a_claim_is_not_leased(
+        self, tmp_path, monkeypatch
+    ):
+        # The owner saves its record and releases its lease between
+        # this worker's done-check and its claim: the claim is dropped.
+        queue = _queue(tmp_path)
+        real_link = os.link
+
+        def owner_finishes_first(src, dst):
+            queue.store.save(self.FP, "gcc", "table2", 42)
+            real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", owner_finishes_first)
+        assert queue.acquire(self.FP, "gcc", "job1", "w2") is None
+        assert queue.store.leases() == set()
+
     def test_release_requires_ownership(self, tmp_path):
         queue = _queue(tmp_path)
         queue.acquire(self.FP, "gcc", "job1", "w1")

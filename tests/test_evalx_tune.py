@@ -15,6 +15,7 @@ Three layers, mirroring the module split:
 from __future__ import annotations
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PredictorConfigError
+from repro.evalx.chaos import live_group_members
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.registry import run_experiment
 from repro.evalx.tune import (
@@ -347,12 +349,18 @@ class TestKillMidRungResume:
             env=env, check=True, capture_output=True, timeout=300,
         )
         ckpt = tmp_path / "ckpt"
+        # One seeded-chosen compress cell hangs, so rung 0 can never
+        # complete: the other worker publishes the rest of the rung and
+        # the search wedges — a mid-rung kill window on any machine.
         victim = subprocess.Popen(
             [*args, "--checkpoint-dir", str(ckpt),
-             "--out", str(tmp_path / "never.json")],
+             "--out", str(tmp_path / "never.json"),
+             "--inject-faults", "hang(600)@compress:*",
+             "--fault-seed", "7"],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -365,8 +373,14 @@ class TestKillMidRungResume:
             else:
                 pytest.fail("no checkpoint records appeared")
         finally:
-            victim.send_signal(signal.SIGKILL)
+            os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while live_group_members(victim.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not live_group_members(victim.pid), (
+            "a killed search's process survived"
+        )
         assert not (tmp_path / "never.json").exists()
         resumed_out = tmp_path / "resumed.json"
         subprocess.run(
@@ -380,3 +394,4 @@ class TestKillMidRungResume:
         assert [r["promoted"] for r in artifact["rungs"]] == [
             r["promoted"] for r in clean["rungs"]
         ]
+        assert sorted(clean["frontier"]) == ["compress", "gcc"]
