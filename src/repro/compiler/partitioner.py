@@ -14,11 +14,13 @@ Algorithm (per function, reachable blocks only):
    Because multi-predecessor blocks are leaders, every non-leader has exactly
    one predecessor, so tasks are trees rooted at leaders.
 2. Grow a region from each leader over arcs to non-leader blocks.
-3. Enforce limits: while any region has more than four distinct exit points
-   or more than ``max_blocks_per_task`` blocks, promote its deepest
-   non-leader block to a leader and regrow. Promotion strictly shrinks a
-   region and a single-block region has at most two exit points, so this
-   terminates.
+3. Enforce limits with a worklist of leaders: while a region has more than
+   four distinct exit points or more than ``max_blocks_per_task`` blocks,
+   promote its deepest non-leader block ``b``, regrow the region and queue
+   ``b``. Because ``b``'s single predecessor lies in that region, no other
+   region changes, so regions split independently and the result does not
+   depend on worklist order. Promotion strictly shrinks a region and a
+   single-block region has at most two exit points, so this terminates.
 """
 
 from __future__ import annotations
@@ -90,13 +92,19 @@ class TaskPartitioner:
         discovery (BFS over the region graph) order.
         """
         leaders = self._initial_leaders()
-        while True:
-            regions = self._grow_regions(leaders)
-            oversized = self._find_violation(regions)
-            if oversized is None:
-                return self._layout_order(regions)
-            promoted = self._pick_split_block(oversized)
-            leaders.add(promoted)
+        pending = sorted(leaders & self._reachable)
+        regions: dict[str, Region] = {}
+        while pending:
+            leader = pending.pop()
+            region = self._grow_one(leader, leaders)
+            while self._violates(region):
+                promoted = self._pick_split_block(region)
+                leaders.add(promoted)
+                pending.append(promoted)
+                region = self._grow_one(leader, leaders)
+            regions[leader] = region
+        self._check_cover(regions)
+        return self._layout_order(regions)
 
     def _initial_leaders(self) -> set[str]:
         """Blocks that must start a task, before any split promotions."""
@@ -118,14 +126,11 @@ class TaskPartitioner:
         )
         return leaders
 
-    def _grow_regions(self, leaders: set[str]) -> dict[str, Region]:
-        """Grow a region from every reachable leader."""
-        regions: dict[str, Region] = {}
+    def _check_cover(self, regions: dict[str, Region]) -> None:
+        """Every reachable block lies in exactly one region."""
         assigned: set[str] = set()
-        for leader in sorted(leaders & self._reachable):
-            region = self._grow_one(leader, leaders)
-            regions[leader] = region
-            for label in region.blocks:
+        for leader in sorted(regions):
+            for label in regions[leader].blocks:
                 if label in assigned and label != leader:
                     raise PartitionError(
                         f"block {label!r} assigned to two regions"
@@ -136,7 +141,6 @@ class TaskPartitioner:
             raise PartitionError(
                 f"blocks never assigned to a region: {sorted(unassigned)}"
             )
-        return regions
 
     def _grow_one(self, leader: str, leaders: set[str]) -> Region:
         """BFS from ``leader``, absorbing non-leader blocks, collecting exits."""
@@ -192,15 +196,12 @@ class TaskPartitioner:
             internal_branch_blocks=internal_branches,
         )
 
-    def _find_violation(self, regions: dict[str, Region]) -> Region | None:
-        """Return some region violating the exit or size limit, else None."""
-        for leader in sorted(regions):
-            region = regions[leader]
-            if len(region.exit_descriptors) > self._config.max_exits_per_task:
-                return region
-            if len(region.blocks) > self._config.max_blocks_per_task:
-                return region
-        return None
+    def _violates(self, region: Region) -> bool:
+        """Whether ``region`` exceeds the exit or the size limit."""
+        return (
+            len(region.exit_descriptors) > self._config.max_exits_per_task
+            or len(region.blocks) > self._config.max_blocks_per_task
+        )
 
     def _pick_split_block(self, region: Region) -> str:
         """Choose the block to promote to leader when splitting ``region``.

@@ -61,7 +61,8 @@ class _FastBlock:
         self.callee_entries = callee_entries
         self.is_internal_branch = is_internal_branch
         self.label = label
-        self.label_hash = stable_hash(label)
+        # Only calls mix their label into the context hash.
+        self.label_hash = stable_hash(label) if kind in (_CALL, _ICALL) else 0
 
 
 class TraceExecutor:
@@ -123,6 +124,7 @@ class TraceExecutor:
             phase_period=self._phase_period,
         )
         builder = TraceBuilder(program_name=program.name)
+        append = builder.append
         bimodal: dict[str, int] = {}
         tfg = program.tfg if self._record_dynamic_arcs else None
 
@@ -134,14 +136,14 @@ class TraceExecutor:
         acc_insns = 0
         acc_branches = 0
         acc_misses = 0
+        emitted = 0
 
-        while len(builder) < max_tasks:
+        while emitted < max_tasks:
             acc_insns += block.insns
             kind = block.kind
             next_label: str
             exit_index: int | None = None
             cf_code = _CF_BRANCH
-            next_task_addr = 0
             push_return: str | None = None
 
             if kind == _COND:
@@ -158,16 +160,13 @@ class TraceExecutor:
                         min(3, counter + 1) if taken else max(0, counter - 1)
                     )
                 next_label = block.succ_labels[choice]
-                next_task_addr = fast[next_label].task_addr
             elif kind == _JUMP:
                 next_label = block.succ_labels[0]
                 exit_index = block.succ_exit[0]
-                next_task_addr = fast[next_label].task_addr
             elif kind == _CALL:
                 exit_index = block.term_exit
                 cf_code = _CF_CALL
                 next_label = block.callee_entries[0]
-                next_task_addr = fast[next_label].task_addr
                 push_return = block.succ_labels[0]
             elif kind == _RETURN:
                 exit_index = block.term_exit
@@ -182,19 +181,16 @@ class TraceExecutor:
                     next_label = main_entry_label
                     ctx.context_hash = 0
                     ctx.loop_counters = {}
-                next_task_addr = fast[next_label].task_addr
             elif kind == _IJUMP:
                 choice = block.behavior.choose(ctx, block.label)
                 exit_index = block.term_exit
                 cf_code = _CF_IBRANCH
                 next_label = block.succ_labels[choice]
-                next_task_addr = fast[next_label].task_addr
             else:  # _ICALL
                 choice = block.behavior.choose(ctx, block.label)
                 exit_index = block.term_exit
                 cf_code = _CF_ICALL
                 next_label = block.callee_entries[choice]
-                next_task_addr = fast[next_label].task_addr
                 push_return = block.succ_labels[0]
 
             if push_return is not None:
@@ -207,17 +203,15 @@ class TraceExecutor:
                 ctx.loop_counters = {}
                 ctx.call_depth += 1
 
+            next_block = fast[next_label]
+            next_task_addr = next_block.task_addr
             if exit_index is not None:
                 ctx.note_task(block.task_addr)
-                builder.append(
-                    task_addr=block.task_addr,
-                    exit_index=exit_index,
-                    cf_type_code=cf_code,
-                    next_addr=next_task_addr,
-                    instructions=acc_insns,
-                    internal_branches=acc_branches,
-                    internal_mispredicts=acc_misses,
+                append(
+                    block.task_addr, exit_index, cf_code, next_task_addr,
+                    acc_insns, acc_branches, acc_misses,
                 )
+                emitted += 1
                 if tfg is not None:
                     tfg.record_dynamic_arc(block.task_addr, next_task_addr)
                 acc_insns = 0
@@ -228,6 +222,6 @@ class TraceExecutor:
                     f"internal arc {block.label!r} -> {next_label!r} "
                     "crosses a task boundary"
                 )
-            block = fast[next_label]
+            block = next_block
 
         return builder.build()

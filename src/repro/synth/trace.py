@@ -158,6 +158,11 @@ class TaskTrace:
             return cls(**arrays, program_name=program_name)
 
 
+def _saturated(counts: list[int]) -> np.ndarray:
+    """``counts`` as uint16, each clamped to at most 0xFFFF."""
+    return np.minimum(counts, 0xFFFF).astype(np.uint16)
+
+
 class TraceBuilder:
     """Accumulates trace records and freezes them into a :class:`TaskTrace`."""
 
@@ -184,14 +189,14 @@ class TraceBuilder:
         internal_branches: int,
         internal_mispredicts: int,
     ) -> None:
-        """Append one task-execution record."""
+        """Append one task-execution record (counts saturate in :meth:`build`)."""
         self._task_addr.append(task_addr)
         self._exit_index.append(exit_index)
         self._cf_type.append(cf_type_code)
         self._next_addr.append(next_addr)
-        self._instructions.append(min(instructions, 0xFFFF))
-        self._internal_branches.append(min(internal_branches, 0xFFFF))
-        self._internal_mispredicts.append(min(internal_mispredicts, 0xFFFF))
+        self._instructions.append(instructions)
+        self._internal_branches.append(internal_branches)
+        self._internal_mispredicts.append(internal_mispredicts)
 
     def build(self) -> TaskTrace:
         """Freeze the accumulated records into an immutable trace."""
@@ -200,12 +205,8 @@ class TraceBuilder:
             exit_index=np.asarray(self._exit_index, dtype=np.uint8),
             cf_type=np.asarray(self._cf_type, dtype=np.uint8),
             next_addr=np.asarray(self._next_addr, dtype=np.uint32),
-            instructions=np.asarray(self._instructions, dtype=np.uint16),
-            internal_branches=np.asarray(
-                self._internal_branches, dtype=np.uint16
-            ),
-            internal_mispredicts=np.asarray(
-                self._internal_mispredicts, dtype=np.uint16
-            ),
+            instructions=_saturated(self._instructions),
+            internal_branches=_saturated(self._internal_branches),
+            internal_mispredicts=_saturated(self._internal_mispredicts),
             program_name=self._program_name,
         )

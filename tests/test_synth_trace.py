@@ -42,9 +42,16 @@ class TestTraceBuilder:
 
     def test_saturating_instruction_counts(self):
         builder = TraceBuilder()
-        builder.append(0x1000, 0, 0, 0x1004, 10**6, 10**6, 10**6)
+        for value in (0xFFFE, 0xFFFF, 0x10000, 10**6):
+            builder.append(0x1000, 0, 0, 0x1004, value, value, value)
         trace = builder.build()
-        assert int(trace.instructions[0]) == 0xFFFF
+        for column in (
+            trace.instructions,
+            trace.internal_branches,
+            trace.internal_mispredicts,
+        ):
+            assert column.dtype == np.uint16
+            assert column.tolist() == [0xFFFE, 0xFFFF, 0xFFFF, 0xFFFF]
 
 
 class TestTaskTrace:
