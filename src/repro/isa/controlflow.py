@@ -37,6 +37,16 @@ class ControlFlowType(enum.Enum):
         return self.value
 
 
+#: Stable numeric codes for control-flow types inside trace arrays.
+CF_TYPE_CODES: dict[ControlFlowType, int] = {
+    ControlFlowType.BRANCH: 0,
+    ControlFlowType.CALL: 1,
+    ControlFlowType.RETURN: 2,
+    ControlFlowType.INDIRECT_BRANCH: 3,
+    ControlFlowType.INDIRECT_CALL: 4,
+}
+
+
 def target_known_at_compile_time(cf_type: ControlFlowType) -> bool:
     """True if the compiler can write this exit's target into the header.
 

@@ -161,12 +161,18 @@ def simulate_confidence(
     forms, the whole run is evaluated as numpy columns (bit-identical
     statistics); ``vectorize=False`` forces the step loop.
     """
+    # Imported here: the simulation layer depends on this package, not
+    # the other way around.
+    from repro.sim.functional import exit_count_column
+
     trace = workload.trace if limit is None else workload.trace.head(limit)
+    n_exits_col = exit_count_column(workload, trace.task_addr)
     if vectorize:
-        stats = _batched_confidence_stats(workload, predictor, estimator, trace)
+        stats = _batched_confidence_stats(
+            predictor, estimator, trace, n_exits_col
+        )
         if stats is not None:
             return stats
-    n_exits_of = workload.exit_counts()
     task_addrs = trace.task_addr.tolist()
     actual_exits = trace.exit_index.tolist()
 
@@ -175,8 +181,9 @@ def simulate_confidence(
     high_correct = 0
     low = 0
     low_incorrect = 0
-    for addr, actual in zip(task_addrs, actual_exits):
-        n_exits = n_exits_of[addr]
+    for addr, actual, n_exits in zip(
+        task_addrs, actual_exits, n_exits_col.tolist()
+    ):
         predicted = predictor.predict(addr, n_exits)
         confident = estimator.is_high_confidence(addr)
         correct = predicted == actual
@@ -201,20 +208,14 @@ def simulate_confidence(
 
 
 def _batched_confidence_stats(
-    workload: Workload,
     predictor: ExitPredictor,
     estimator: ResettingConfidenceEstimator,
     trace,
+    n_exits_col: np.ndarray,
 ) -> ConfidenceStats | None:
     """Column-wise confidence run, or None without exact batched forms."""
-    # Imported here: the batched drivers live in the simulation layer,
-    # which depends on this package — not the other way around.
-    from repro.sim.functional import (
-        batched_exit_prediction_column,
-        exit_count_column,
-    )
+    from repro.sim.functional import batched_exit_prediction_column
 
-    n_exits_col = exit_count_column(workload, trace.task_addr)
     predicted = batched_exit_prediction_column(
         predictor, trace.task_addr, trace.exit_index, n_exits_col
     )

@@ -83,8 +83,8 @@ class PackedPatternTable:
     factorized form of whatever index the owning predictor computes.
     State advances in whole-trace batches through :meth:`replay`; calling
     it several times over consecutive trace slices yields exactly the
-    states a single call over the concatenation would — which is what
-    makes checkpoint-resumed batched runs bit-identical to straight ones.
+    states a single call over the concatenation would. (No caller replays
+    in slices yet: checkpointed sweeps resume whole cells.)
     """
 
     def __init__(self, table: AutomatonTable, n_groups: int) -> None:
@@ -140,3 +140,30 @@ class PackedPatternTable:
     def states_touched(self) -> int:
         """Distinct entries exercised so far (Figure 11's metric)."""
         return int(self._touched.sum())
+
+
+def replay_clamped(
+    table: AutomatonTable,
+    group_ids: np.ndarray,
+    actual_exits: np.ndarray,
+    n_exits_col: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay a fresh table over a trace's multiway steps.
+
+    The batched form of a PHT exit predictor's ``predict``/``update``
+    pairs: only steps whose task has more than one exit (``n_exits_col``)
+    read or train their entry ``group_ids[step]``, and each prediction is
+    clamped into the task's exit range. Returns ``(predicted, steps,
+    pre_states)``: the per-step predicted exit (0 at single-exit steps),
+    the multiway step rows, and the entry state each of them read.
+    """
+    steps = np.flatnonzero(n_exits_col > 1)
+    predicted = np.zeros(len(n_exits_col), dtype=np.int64)
+    pre_states = np.zeros(0, dtype=np.int64)
+    if steps.size:
+        packed = PackedPatternTable(table, int(group_ids[steps].max()) + 1)
+        pre_states = packed.replay(group_ids[steps], actual_exits[steps])
+        predicted[steps] = np.minimum(
+            packed.predictions_of(pre_states), n_exits_col[steps] - 1
+        )
+    return predicted, steps, pre_states

@@ -19,97 +19,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PredictorConfigError, SimulationError
-from repro.isa.controlflow import ControlFlowType
+from repro.isa.controlflow import CF_TYPE_CODES, ControlFlowType
+from repro.isa.headers import HeaderTable
 from repro.isa.program import MultiscalarProgram
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
 from repro.predictors.ras import ReturnAddressStack
-from repro.predictors.ttb import CorrelatedTaskTargetBuffer
-from repro.synth.trace import CF_TYPE_CODES, TaskTrace
+from repro.predictors.ttb import (
+    NO_PREDICTION,
+    CorrelatedTaskTargetBuffer,
+    pretarget_column,
+)
+from repro.synth.trace import TaskTrace
 from repro.utils.memo import DerivedColumnCache, int64_column
-from repro.utils.scan import stable_argsort
 
 #: Columns derived from (trace, program) pairs that every scheme in a
-#: sweep re-derives identically: header tables, the actual call/return
-#: stack timeline, target-buffer entry timelines.
+#: sweep re-derives identically: the per-task header dict of the stepped
+#: path, the actual call/return stack timeline, target-buffer entry
+#: timelines.
 _DERIVED = DerivedColumnCache()
 
 _CF_RETURN = CF_TYPE_CODES[ControlFlowType.RETURN]
 _CF_CALL = CF_TYPE_CODES[ControlFlowType.CALL]
 _CF_ICALL = CF_TYPE_CODES[ControlFlowType.INDIRECT_CALL]
 _CF_IBRANCH = CF_TYPE_CODES[ControlFlowType.INDIRECT_BRANCH]
-
-#: Hysteresis bound of a target-buffer entry (mirrors ``ttb._COUNTER_MAX``).
-_TARGET_COUNTER_MAX = 3
-
-#: Sentinel predicted address when no structure can supply a target.
-NO_PREDICTION = 0
-
-
-def _cttb_pretarget_column(
-    slot_ids: np.ndarray,
-    writes: np.ndarray,
-    actual_targets: np.ndarray,
-) -> np.ndarray:
-    """Per-step target the buffer would predict, before that step trains.
-
-    The training stream (``writes`` rows, in trace order) is replayed
-    once through the hysteresis rule, recording each entry's stored
-    target after every write; a grouped forward-fill then assigns every
-    step the last value written to its slot strictly earlier — exactly
-    what a read at that step would observe, for *any* read mask. Rows
-    whose slot was never written resolve to :data:`NO_PREDICTION`.
-    """
-    n = len(slot_ids)
-    write_rows = np.flatnonzero(writes)
-    target_after = np.zeros(n, dtype=np.int64)
-    target_of: dict[int, int] = {}
-    counter_of: dict[int, int] = {}
-    stored_targets: list[int] = []
-    record = stored_targets.append
-    for slot, actual in zip(
-        slot_ids[write_rows].tolist(),
-        actual_targets[write_rows].tolist(),
-    ):
-        stored = target_of.get(slot)
-        if stored is None:
-            target_of[slot] = actual
-            counter_of[slot] = 1
-        elif actual == stored:
-            if counter_of[slot] < _TARGET_COUNTER_MAX:
-                counter_of[slot] += 1
-        elif counter_of[slot] > 0:
-            counter_of[slot] -= 1
-        else:
-            target_of[slot] = actual
-            counter_of[slot] = 1
-        record(target_of[slot])
-    target_after[write_rows] = stored_targets
-
-    # Grouped forward-fill: sort by slot (stable, so trace order holds
-    # within a slot), encode (segment, write position + 1) so one running
-    # maximum finds the latest earlier write without crossing segments.
-    order = stable_argsort(slot_ids)
-    sorted_slots = slot_ids[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = sorted_slots[1:] != sorted_slots[:-1]
-    segment = np.cumsum(starts, dtype=np.int64) - 1
-    stride = np.int64(n + 1)
-    write_pos = np.where(
-        writes[order], np.arange(1, n + 1, dtype=np.int64), 0
-    )
-    run = np.maximum.accumulate(segment * stride + write_pos)
-    prev = np.empty(n, dtype=np.int64)
-    prev[0] = -1
-    prev[1:] = run[:-1]
-    last_write = prev - segment * stride  # 1-based, <= 0 when none
-    source = order[np.maximum(last_write, 1) - 1]
-    pre_sorted = np.where(
-        last_write >= 1, target_after[source], NO_PREDICTION
-    )
-    pre = np.empty(n, dtype=np.int64)
-    pre[order] = pre_sorted
-    return pre
 
 
 def _ras_timeline(
@@ -192,75 +124,6 @@ def _build_task_info(program: MultiscalarProgram) -> dict[int, _TaskInfo]:
     return info
 
 
-class _TaskTable:
-    """Header facts as 2-D columns, for batched address resolution.
-
-    Row order is sorted task address, so trace addresses map to rows with
-    one ``searchsorted``. Absent targets / return addresses (exits whose
-    type carries none) are stored as ``NO_PREDICTION`` / ``-1``. Built
-    straight from the program — the scalar path's per-task dict is never
-    needed when only batched runs happen.
-    """
-
-    __slots__ = ("addrs", "cf_codes", "targets", "return_addrs")
-
-    def __init__(self, program: MultiscalarProgram) -> None:
-        tasks = sorted(program.tfg, key=lambda task: task.address)
-        self.addrs = np.array(
-            [task.address for task in tasks], dtype=np.int64
-        )
-        # One flat pass over every exit, scattered into the 2-D columns
-        # with a single fancy-indexed store per column — much cheaper
-        # than building a padded row list per task.
-        flat = [e for task in tasks for e in task.header.exits]
-        n_flat = len(flat)
-        lengths = np.fromiter(
-            (len(task.header.exits) for task in tasks),
-            dtype=np.int64,
-            count=len(tasks),
-        )
-        max_exits = int(lengths.max()) if len(tasks) else 1
-        rows = np.repeat(np.arange(len(tasks), dtype=np.int64), lengths)
-        row_starts = np.cumsum(lengths) - lengths
-        cols = np.arange(n_flat, dtype=np.int64) - row_starts[rows]
-        codes = CF_TYPE_CODES
-        shape = (len(self.addrs), max_exits)
-        self.cf_codes = np.zeros(shape, dtype=np.int64)
-        self.cf_codes[rows, cols] = np.fromiter(
-            (codes[e.cf_type] for e in flat), dtype=np.int64, count=n_flat
-        )
-        self.targets = np.full(shape, NO_PREDICTION, dtype=np.int64)
-        self.targets[rows, cols] = np.fromiter(
-            (
-                NO_PREDICTION if e.target is None else e.target
-                for e in flat
-            ),
-            dtype=np.int64,
-            count=n_flat,
-        )
-        self.return_addrs = np.full(shape, -1, dtype=np.int64)
-        self.return_addrs[rows, cols] = np.fromiter(
-            (
-                -1 if e.return_address is None else e.return_address
-                for e in flat
-            ),
-            dtype=np.int64,
-            count=n_flat,
-        )
-
-    def rows_of(self, task_addrs: np.ndarray) -> np.ndarray:
-        """Table row of each trace step; raises on unknown addresses."""
-        rows = np.searchsorted(self.addrs, task_addrs)
-        rows = np.minimum(rows, len(self.addrs) - 1)
-        bad = np.flatnonzero(self.addrs[rows] != task_addrs)
-        if bad.size:
-            raise SimulationError(
-                f"no task at {int(task_addrs[bad[0]]):#x} in the "
-                "predictor's program"
-            )
-        return rows
-
-
 class HeaderTaskPredictor(NextTaskPredictor):
     """Exit predictor + header targets + RAS + CTTB (the paper's design)."""
 
@@ -276,7 +139,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
         self._exit_predictor = exit_predictor
         self._cttb = cttb
         self._ras = ras if ras is not None else ReturnAddressStack(depth=32)
-        self._last_predicted_exit: int | None = None
 
     @property
     def exit_predictor(self) -> ExitPredictor:
@@ -285,8 +147,8 @@ class HeaderTaskPredictor(NextTaskPredictor):
 
     @property
     def _info(self) -> dict[int, _TaskInfo]:
-        # Built lazily: batched runs resolve headers through _TaskTable
-        # columns and never need the per-task dict of the stepped path.
+        # Built lazily: batched runs resolve headers through the
+        # HeaderTable columns and never need the stepped path's dict.
         info = self._info_cache
         if info is None:
             program = self._program
@@ -301,13 +163,12 @@ class HeaderTaskPredictor(NextTaskPredictor):
             return self._info[task_addr]
         except KeyError:
             raise SimulationError(
-                f"no task at {task_addr:#x} in the predictor's program"
+                f"trace references unknown task {task_addr:#x}"
             ) from None
 
     def predict(self, task_addr: int) -> int:
         task = self._task(task_addr)
         exit_index = self._exit_predictor.predict(task_addr, task.n_exits)
-        self._last_predicted_exit = exit_index
         cf_code = task.cf_codes[exit_index]
         if cf_code == _CF_RETURN:
             predicted = self._ras.peek()
@@ -316,11 +177,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
         else:  # BRANCH / CALL: the compiler put the target in the header
             predicted = task.targets[exit_index]
         return predicted if predicted is not None else NO_PREDICTION
-
-    @property
-    def last_predicted_exit(self) -> int | None:
-        """Exit index chosen by the most recent ``predict`` call."""
-        return self._last_predicted_exit
 
     def update(
         self,
@@ -381,23 +237,17 @@ class HeaderTaskPredictor(NextTaskPredictor):
         if slot_ids is None:
             return None
         program = self._program
-        table = _DERIVED.get(
-            (program,), "task-table", lambda: _TaskTable(program)
-        )
-        rows = _DERIVED.get(
-            (task_addrs, program),
-            "task-rows",
-            lambda: table.rows_of(addrs),
-        )
+        headers = HeaderTable.of(program)
+        rows = headers.rows(task_addrs)
         predicted_exits = int64_column(predicted_exits)
         actual_exits = int64_column(actual_exits)
         cf_codes = int64_column(cf_codes)
         next_addrs = int64_column(next_addrs)
-        predicted_cf = table.cf_codes[rows, predicted_exits]
+        predicted_cf = headers.cf_codes[rows, predicted_exits]
 
         # Header targets answer BRANCH/CALL exits; RAS and CTTB rows are
         # overwritten below (every such row is a "read" of its structure).
-        out = table.targets[rows, predicted_exits].copy()
+        out = headers.targets[rows, predicted_exits].copy()
 
         # Both timelines replay the actual (committed) outcome stream, so
         # they are identical for every scheme over a given trace — they
@@ -407,7 +257,7 @@ class HeaderTaskPredictor(NextTaskPredictor):
             ("ras-top", self._ras.depth),
             lambda: _ras_timeline(
                 cf_codes,
-                table.return_addrs[rows, actual_exits],
+                headers.return_addrs[rows, actual_exits],
                 self._ras.depth,
                 addrs,
                 actual_exits,
@@ -419,7 +269,7 @@ class HeaderTaskPredictor(NextTaskPredictor):
         cttb_pre = _DERIVED.get(
             (slot_ids, cf_codes, next_addrs),
             ("cttb-pre", "indirect"),
-            lambda: _cttb_pretarget_column(
+            lambda: pretarget_column(
                 slot_ids,
                 (cf_codes == _CF_IBRANCH) | (cf_codes == _CF_ICALL),
                 next_addrs,
@@ -486,7 +336,7 @@ class CttbOnlyTaskPredictor(NextTaskPredictor):
         pre = _DERIVED.get(
             (slot_ids, targets),
             ("cttb-pre", "all"),
-            lambda: _cttb_pretarget_column(slot_ids, everywhere, targets),
+            lambda: pretarget_column(slot_ids, everywhere, targets),
         )
         return pre.copy()
 

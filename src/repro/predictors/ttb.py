@@ -29,6 +29,7 @@ from repro.errors import PredictorConfigError
 from repro.predictors.folding import DolcSpec
 from repro.utils.memo import int64_column
 from repro.utils.bits import bit_mask
+from repro.utils.scan import stable_argsort
 from repro.utils.windows import factorize, group_by_path
 
 _ALIGN_SHIFT = 2
@@ -36,6 +37,9 @@ _ALIGN_SHIFT = 2
 #: 2-bit hysteresis counter bounds.
 _COUNTER_MAX = 3
 _COUNTER_BITS = 2
+
+#: Sentinel predicted address when no structure can supply a target.
+NO_PREDICTION = 0
 
 
 class _TargetEntry:
@@ -56,6 +60,77 @@ class _TargetEntry:
         else:
             self.target = actual_target
             self.counter = 1
+
+
+def pretarget_column(
+    slot_ids: np.ndarray,
+    writes: np.ndarray,
+    actual_targets: np.ndarray,
+) -> np.ndarray:
+    """Per-step target a buffer entry holds, before that step trains.
+
+    The batched form of :class:`_TargetEntry`: the training stream
+    (``writes`` rows, in trace order) is replayed once through the
+    hysteresis rule, recording each slot's stored target after every
+    write; a grouped forward-fill then gives every step the last value
+    written to its slot strictly earlier — what a read at that step
+    would observe, for *any* read mask. Rows whose slot was never
+    written resolve to :data:`NO_PREDICTION`.
+    """
+    n = len(slot_ids)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    write_rows = np.flatnonzero(writes)
+    target_after = np.zeros(n, dtype=np.int64)
+    n_slots = int(slot_ids.max()) + 1
+    target_of: list[int | None] = [None] * n_slots
+    counter_of = [0] * n_slots
+    stored_targets: list[int | None] = []
+    record = stored_targets.append
+    for slot, actual in zip(
+        slot_ids[write_rows].tolist(),
+        actual_targets[write_rows].tolist(),
+    ):
+        stored = target_of[slot]
+        if stored is None:
+            target_of[slot] = actual
+            counter_of[slot] = 1
+        elif actual == stored:
+            if counter_of[slot] < _COUNTER_MAX:
+                counter_of[slot] += 1
+        elif counter_of[slot] > 0:
+            counter_of[slot] -= 1
+        else:
+            target_of[slot] = actual
+            counter_of[slot] = 1
+        record(target_of[slot])
+    target_after[write_rows] = stored_targets
+
+    # Grouped forward-fill: sort by slot (stable, so trace order holds
+    # within a slot), encode (segment, write position + 1) so one running
+    # maximum finds the latest earlier write without crossing segments.
+    order = stable_argsort(slot_ids)
+    sorted_slots = slot_ids[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = sorted_slots[1:] != sorted_slots[:-1]
+    segment = np.cumsum(starts, dtype=np.int64) - 1
+    stride = np.int64(n + 1)
+    write_pos = np.where(
+        writes[order], np.arange(1, n + 1, dtype=np.int64), 0
+    )
+    run = np.maximum.accumulate(segment * stride + write_pos)
+    prev = np.empty(n, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = run[:-1]
+    last_write = prev - segment * stride  # 1-based, <= 0 when none
+    source = order[np.maximum(last_write, 1) - 1]
+    pre_sorted = np.where(
+        last_write >= 1, target_after[source], NO_PREDICTION
+    )
+    pre = np.empty(n, dtype=np.int64)
+    pre[order] = pre_sorted
+    return pre
 
 
 class _BufferBase:

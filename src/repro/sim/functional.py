@@ -37,9 +37,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.predictors.automata import AutomatonTable
+from repro.isa.headers import HeaderTable
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
-from repro.predictors.pht import PackedPatternTable
+from repro.predictors.pht import replay_clamped
+from repro.predictors.ttb import pretarget_column
 from repro.sim.result import (
     ExitPredictionStats,
     TargetPredictionStats,
@@ -47,22 +48,13 @@ from repro.sim.result import (
 )
 from repro.synth.trace import CF_TYPE_FROM_CODE
 from repro.synth.workloads import Workload
-from repro.utils.memo import DerivedColumnCache, int64_column
-
-#: Exit-count columns per (workload, trace address column) — shared by
-#: every predictor scheme swept over the same trace.
-_EXIT_COUNT_CACHE = DerivedColumnCache()
+from repro.utils.memo import int64_column
 
 #: Codes of INDIRECT_BRANCH / INDIRECT_CALL in trace arrays.
 _INDIRECT_CODES = (3, 4)
 
-#: Hysteresis bounds of a target-buffer entry (see ``_TargetEntry``).
-_TARGET_COUNTER_MAX = 3
-
-
-def _exit_counts(workload: Workload) -> dict[int, int]:
-    """Map task address -> number of header exits."""
-    return workload.exit_counts()
+#: Length of a per-control-flow-code count column.
+_N_CODES = max(CF_TYPE_FROM_CODE) + 1
 
 
 def exit_count_column(
@@ -70,42 +62,11 @@ def exit_count_column(
 ) -> np.ndarray:
     """Per-step header-exit counts as a numpy column.
 
-    Vectorizes the address -> exit-count mapping once per trace instead
-    of a dict lookup per step, and memoises the column per (workload,
-    address column) — the result is shared, do not mutate it. Raises
-    :class:`SimulationError` if the trace references a task the program
-    doesn't define.
+    Raises :class:`SimulationError` if the trace references a task the
+    program doesn't define.
     """
-    return _EXIT_COUNT_CACHE.get(
-        (workload, task_addrs),
-        "exit-count",
-        lambda: _exit_count_column(workload, task_addrs),
-    )
-
-
-def _exit_count_column(
-    workload: Workload, task_addrs: np.ndarray
-) -> np.ndarray:
-    addrs = int64_column(task_addrs)
-    if addrs.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = _exit_counts(workload)
-    if not counts:
-        raise SimulationError(
-            f"trace references unknown task {int(addrs[0]):#x}"
-        )
-    keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    pos = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
-    mismatched = np.flatnonzero(keys[pos] != addrs)
-    if mismatched.size:
-        missing = int(addrs[mismatched[0]])
-        raise SimulationError(
-            f"trace references unknown task {missing:#x}"
-        )
-    return vals[pos]
+    headers = HeaderTable.of(workload.compiled.program)
+    return headers.n_exits[headers.rows(task_addrs)]
 
 
 def _check_single_exit_legality(
@@ -123,34 +84,38 @@ def _check_single_exit_legality(
         )
 
 
-def _automaton_scan_kernel(
-    group_ids: np.ndarray,
+def _exit_replay(
+    predictor: ExitPredictor,
+    task_addrs: np.ndarray,
     actual_exits: np.ndarray,
-    prediction_caps: np.ndarray,
-    table: AutomatonTable,
-) -> tuple[int, int]:
-    """Replay tabulated automata over pre-grouped multiway steps.
+    n_exits_col: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Per-step predicted exits and table keys, or None.
 
-    ``group_ids`` are dense table-key ids (one automaton per id);
-    ``prediction_caps`` holds ``n_exits - 1`` per step (predictions are
-    clamped into the task's legal exit range); ``table`` is the
-    automaton's enumerated state machine. Every entry starts in the
-    tabulated initial state, which is also what an untouched entry
-    predicts — a first touch reads prediction 0 exactly like the
-    dict-of-automata reference, whether the entry was pre-created by a
-    ``predict`` or is made on the fly by ``update``. Returns
-    ``(misses, states_touched)`` — bit-identical to the step-by-step
-    loop.
+    The one batched form of ``predict``/``update`` pairs over a trace; see
+    :func:`batched_exit_prediction_column`. The keys are the per-step
+    table entries of a ``batch_plan`` predictor (only multiway steps
+    touch theirs), None for a stateless ``predict_column`` one.
     """
-    if not len(group_ids):
-        return 0, 0
-    packed = PackedPatternTable(table, int(group_ids.max()) + 1)
-    pre_states = packed.replay(group_ids, actual_exits)
-    predictions = np.minimum(
-        packed.predictions_of(pre_states), prediction_caps
-    )
-    misses = int((predictions != actual_exits).sum())
-    return misses, packed.states_touched()
+    plan_fn = getattr(predictor, "batch_plan", None)
+    column_fn = getattr(predictor, "predict_column", None)
+    if plan_fn is not None:
+        plan = plan_fn(task_addrs, actual_exits)
+        if plan is None:
+            return None
+        group_ids, table = plan
+        predicted, _, _ = replay_clamped(
+            table, group_ids, int64_column(actual_exits), n_exits_col
+        )
+    elif column_fn is not None:
+        predicted = np.asarray(
+            column_fn(task_addrs, n_exits_col), dtype=np.int64
+        )
+        group_ids = None
+    else:
+        return None
+    _check_single_exit_legality(task_addrs, actual_exits, n_exits_col > 1)
+    return predicted, group_ids
 
 
 def batched_exit_prediction_column(
@@ -167,90 +132,8 @@ def batched_exit_prediction_column(
     it advertises no exact batched form. This is the exit-choice half of
     the batched task predictors and the timing simulator's fast path.
     """
-    multiway = np.asarray(n_exits_col) > 1
-    plan_fn = getattr(predictor, "batch_plan", None)
-    if plan_fn is not None:
-        plan = plan_fn(task_addrs, actual_exits)
-        if plan is None:
-            return None
-        _check_single_exit_legality(task_addrs, actual_exits, multiway)
-        group_ids, table = plan
-        steps = np.flatnonzero(multiway)
-        predicted = np.zeros(len(task_addrs), dtype=np.int64)
-        if steps.size:
-            packed = PackedPatternTable(
-                table, int(group_ids[steps].max()) + 1
-            )
-            pre_states = packed.replay(
-                group_ids[steps],
-                int64_column(actual_exits)[steps],
-            )
-            predicted[steps] = np.minimum(
-                packed.predictions_of(pre_states),
-                int64_column(n_exits_col)[steps] - 1,
-            )
-        return predicted
-    column_fn = getattr(predictor, "predict_column", None)
-    if column_fn is not None:
-        return np.asarray(
-            column_fn(task_addrs, n_exits_col), dtype=np.int64
-        )
-    return None
-
-
-def _batched_exit_stats(
-    predictor: ExitPredictor,
-    task_addrs: np.ndarray,
-    actual_exits: np.ndarray,
-    n_exits_col: np.ndarray,
-) -> ExitPredictionStats | None:
-    """Run a batched kernel if the predictor supports one, else None."""
-    multiway = n_exits_col > 1
-    plan_fn = getattr(predictor, "batch_plan", None)
-    if plan_fn is not None:
-        plan = plan_fn(task_addrs, actual_exits)
-        if plan is None:
-            return None
-        _check_single_exit_legality(task_addrs, actual_exits, multiway)
-        group_ids, table = plan
-        steps = np.flatnonzero(multiway)
-        misses, states = _automaton_scan_kernel(
-            group_ids[steps],
-            actual_exits[steps].astype(np.int64),
-            n_exits_col[steps].astype(np.int64) - 1,
-            table,
-        )
-        return ExitPredictionStats(
-            trials=len(task_addrs),
-            misses=misses,
-            multiway_trials=int(steps.size),
-            multiway_misses=misses,
-            states_touched=states,
-            storage_bits=predictor.storage_bits(),
-        )
-    column_fn = getattr(predictor, "predict_column", None)
-    if column_fn is not None:
-        predicted = np.asarray(
-            column_fn(task_addrs, n_exits_col), dtype=np.int64
-        )
-        wrong = predicted != int64_column(actual_exits)
-        bad = np.flatnonzero(~multiway & wrong)
-        if bad.size:
-            step = int(bad[0])
-            raise SimulationError(
-                f"single-exit task {int(task_addrs[step]):#x} took exit "
-                f"{int(actual_exits[step])}"
-            )
-        misses = int((wrong & multiway).sum())
-        return ExitPredictionStats(
-            trials=len(task_addrs),
-            misses=misses,
-            multiway_trials=int(multiway.sum()),
-            multiway_misses=misses,
-            states_touched=predictor.states_touched(),
-            storage_bits=predictor.storage_bits(),
-        )
-    return None
+    replay = _exit_replay(predictor, task_addrs, actual_exits, n_exits_col)
+    return None if replay is None else replay[0]
 
 
 def simulate_exit_prediction(
@@ -268,11 +151,29 @@ def simulate_exit_prediction(
     trace = workload.trace if limit is None else workload.trace.head(limit)
     n_exits_col = exit_count_column(workload, trace.task_addr)
     if vectorize:
-        stats = _batched_exit_stats(
+        replay = _exit_replay(
             predictor, trace.task_addr, trace.exit_index, n_exits_col
         )
-        if stats is not None:
-            return stats
+        if replay is not None:
+            predicted, group_ids = replay
+            multiway = n_exits_col > 1
+            misses = int(
+                np.count_nonzero(
+                    multiway & (predicted != int64_column(trace.exit_index))
+                )
+            )
+            return ExitPredictionStats(
+                trials=len(predicted),
+                misses=misses,
+                multiway_trials=int(multiway.sum()),
+                multiway_misses=misses,
+                states_touched=(
+                    predictor.states_touched()
+                    if group_ids is None
+                    else int(np.count_nonzero(np.bincount(group_ids[multiway])))
+                ),
+                storage_bits=predictor.storage_bits(),
+            )
 
     task_addrs = trace.task_addr.tolist()
     actual_exits = trace.exit_index.tolist()
@@ -304,46 +205,6 @@ def simulate_exit_prediction(
         states_touched=predictor.states_touched(),
         storage_bits=predictor.storage_bits(),
     )
-
-
-def _target_group_kernel(
-    group_ids: np.ndarray, next_addrs: np.ndarray
-) -> tuple[int, int]:
-    """Replay hysteresis target entries over pre-grouped indirect steps.
-
-    ``group_ids`` are dense buffer-slot ids at each indirect exit, in
-    trace order. Returns ``(misses, entries_touched)`` — bit-identical to
-    driving a buffer's ``predict``/``update`` pair per indirect step.
-    """
-    if not len(group_ids):
-        return 0, 0
-    n_groups = int(group_ids.max()) + 1
-    target_of = [0] * n_groups
-    counter_of = [0] * n_groups
-    seen = bytearray(n_groups)
-    misses = 0
-    entries = 0
-    for group, actual in zip(group_ids.tolist(), next_addrs.tolist()):
-        if seen[group]:
-            stored = target_of[group]
-            if stored != actual:
-                misses += 1
-                counter = counter_of[group]
-                if counter > 0:
-                    counter_of[group] = counter - 1
-                else:
-                    target_of[group] = actual
-                    counter_of[group] = 1
-            elif counter_of[group] < _TARGET_COUNTER_MAX:
-                counter_of[group] += 1
-        else:
-            # Compulsory miss: predict() returns None, update() allocates.
-            seen[group] = 1
-            entries += 1
-            misses += 1
-            target_of[group] = actual
-            counter_of[group] = 1
-    return misses, entries
 
 
 def simulate_indirect_target_prediction(
@@ -379,14 +240,18 @@ def simulate_indirect_target_prediction(
                 # History-free slots: only the indirect rows matter.
                 slot_ids = batch_fn(trace.task_addr[indirect_steps])
             if slot_ids is not None:
-                misses, entries = _target_group_kernel(
-                    slot_ids,
-                    trace.next_addr[indirect_steps].astype(np.int64),
-                )
+                # Every indirect step reads, then trains, its slot: a
+                # slot's first touch is a compulsory miss.
+                targets = int64_column(trace.next_addr)[indirect_steps]
+                wrong = pretarget_column(
+                    slot_ids, np.ones(len(slot_ids), dtype=bool), targets
+                ) != targets
+                _, first_touch = np.unique(slot_ids, return_index=True)
+                wrong[first_touch] = True
                 return TargetPredictionStats(
                     trials=int(indirect_steps.size),
-                    misses=misses,
-                    entries_touched=entries,
+                    misses=int(wrong.sum()),
+                    entries_touched=len(first_touch),
                     storage_bits=buffer.storage_bits(),
                 )
 
@@ -473,29 +338,10 @@ def simulate_task_prediction(
         )
         if predicted is not None:
             wrong = predicted != int64_column(trace.next_addr)
-            n_codes = max(CF_TYPE_FROM_CODE) + 1
-            code_trials = np.bincount(trace.cf_type, minlength=n_codes)
-            code_misses = np.bincount(
-                trace.cf_type[wrong], minlength=n_codes
-            )
-            type_names = {
-                code: str(cf_type)
-                for code, cf_type in CF_TYPE_FROM_CODE.items()
-            }
-            return TaskPredictionStats(
-                trials=len(trace.task_addr),
-                address_misses=int(wrong.sum()),
-                misses_by_type={
-                    type_names[code]: int(count)
-                    for code, count in enumerate(code_misses)
-                    if count
-                },
-                trials_by_type={
-                    type_names[code]: int(count)
-                    for code, count in enumerate(code_trials)
-                    if count
-                },
-                storage_bits=predictor.storage_bits(),
+            return _task_stats(
+                trace,
+                np.bincount(trace.cf_type[wrong], minlength=_N_CODES),
+                predictor.storage_bits(),
             )
 
     task_addrs = trace.task_addr.tolist()
@@ -503,41 +349,35 @@ def simulate_task_prediction(
     cf_codes = trace.cf_type.tolist()
     next_addrs = trace.next_addr.tolist()
 
-    # The per-type trial counts don't depend on the predictor; count them
-    # vectorized and keep the inner loop free of string conversions by
-    # indexing miss counters with the raw control-flow code.
-    n_codes = max(CF_TYPE_FROM_CODE) + 1
-    code_trials = np.bincount(trace.cf_type, minlength=n_codes)
-    misses_by_code = [0] * n_codes
-
+    # Miss counters are indexed by the raw control-flow code, keeping the
+    # inner loop free of string conversions.
+    misses_by_code = [0] * _N_CODES
     predict = predictor.predict
     update = predictor.update
-    misses = 0
     for addr, actual_exit, cf_code, next_addr in zip(
         task_addrs, actual_exits, cf_codes, next_addrs
     ):
         if predict(addr) != next_addr:
-            misses += 1
             misses_by_code[cf_code] += 1
         update(addr, actual_exit, cf_code, next_addr)
+    return _task_stats(trace, misses_by_code, predictor.storage_bits())
 
-    type_names = {
-        code: str(cf_type) for code, cf_type in CF_TYPE_FROM_CODE.items()
-    }
-    trials_by_type = {
-        type_names[code]: int(count)
-        for code, count in enumerate(code_trials)
-        if count
-    }
-    misses_by_type = {
-        type_names[code]: count
-        for code, count in enumerate(misses_by_code)
-        if count
-    }
+
+def _task_stats(trace, code_misses, storage_bits: int) -> TaskPredictionStats:
+    """Table 3 statistics from the per-control-flow-code miss counts."""
+    code_trials = np.bincount(trace.cf_type, minlength=_N_CODES)
+
+    def by_type(counts) -> dict[str, int]:
+        return {
+            str(CF_TYPE_FROM_CODE[code]): int(count)
+            for code, count in enumerate(counts)
+            if count
+        }
+
     return TaskPredictionStats(
-        trials=len(task_addrs),
-        address_misses=misses,
-        misses_by_type=misses_by_type,
-        trials_by_type=trials_by_type,
-        storage_bits=predictor.storage_bits(),
+        trials=len(trace.task_addr),
+        address_misses=int(sum(code_misses)),
+        misses_by_type=by_type(code_misses),
+        trials_by_type=by_type(code_trials),
+        storage_bits=storage_bits,
     )

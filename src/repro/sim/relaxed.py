@@ -20,19 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.isa.controlflow import MAX_EXITS_PER_TASK
+from repro.isa.headers import ABSENT, HeaderTable
 from repro.predictors.automata import tabulate_automaton
 from repro.predictors.folding import DolcSpec, _ALIGN_SHIFT
-from repro.predictors.pht import PackedPatternTable
+from repro.predictors.pht import replay_clamped
 from repro.predictors.speculative import SpeculativePathPredictor
+from repro.sim.functional import exit_count_column
 from repro.synth.workloads import Workload
 from repro.utils.bits import bit_mask
-from repro.utils.memo import DerivedColumnCache, int64_column
-
-#: Header columns per program, shared by every relaxed run over it.
-_HEADER_CACHE = DerivedColumnCache()
-
-#: Sentinel for "this exit's target is not in the header" (the walk stops).
-_NO_TARGET = -1
+from repro.utils.memo import int64_column
 
 
 @dataclass(frozen=True)
@@ -54,39 +50,6 @@ class RelaxedPredictionStats:
     def miss_rate(self) -> float:
         """Committed-path miss rate (comparable to the ideal simulator's)."""
         return self.misses / self.trials if self.trials else 0.0
-
-
-class _HeaderColumns:
-    """Per-program header facts for the batched wrong-path walk."""
-
-    __slots__ = ("addrs", "n_exits", "targets")
-
-    def __init__(self, program) -> None:
-        tasks = sorted(program.tfg, key=lambda task: task.address)
-        self.addrs = np.array(
-            [task.address for task in tasks], dtype=np.int64
-        )
-        self.n_exits = np.array(
-            [task.n_exits for task in tasks], dtype=np.int64
-        )
-        max_exits = int(self.n_exits.max()) if tasks else 1
-        self.targets = np.full(
-            (len(tasks), max_exits), _NO_TARGET, dtype=np.int64
-        )
-        for row, task in enumerate(tasks):
-            for col, e in enumerate(task.header.exits):
-                if e.target is not None:
-                    self.targets[row, col] = e.target
-
-    def rows_of(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, known)`` per address; row is clamped when unknown."""
-        rows = np.searchsorted(self.addrs, addrs)
-        rows = np.minimum(rows, max(len(self.addrs) - 1, 0))
-        known = (
-            self.addrs[rows] == addrs if len(self.addrs)
-            else np.zeros(len(addrs), dtype=bool)
-        )
-        return rows, known
 
 
 def _dolc_index_rows(
@@ -170,37 +133,19 @@ def _batched_speculative_stats(
     if table is None:
         return None
 
-    headers = _HEADER_CACHE.get(
-        (workload,),
-        "relaxed-headers",
-        lambda: _HeaderColumns(workload.compiled.program),
-    )
+    headers = HeaderTable.of(workload.compiled.program)
     addrs = int64_column(trace.task_addr)
     actual_exits = int64_column(trace.exit_index)
     n = len(addrs)
-    if n == 0:
-        return RelaxedPredictionStats(0, 0, 0)
-    rows, known = headers.rows_of(addrs)
-    if not known.all():
-        return None  # let the stepped loop raise its KeyError
-    n_exits_col = headers.n_exits[rows]
+    rows = headers.rows(trace.task_addr)
 
     # Committed stream: perfect repair keeps the path register equal to
     # the committed-path tail at every step, so the index column is the
     # plain D-O-L-C fold and the PHT replay is exact.
     index_col = spec.index_column(trace.task_addr)
-    multiway = n_exits_col > 1
-    steps = np.flatnonzero(multiway)
-    predicted = np.zeros(n, dtype=np.int64)
-    pre_states = np.zeros(steps.size, dtype=np.int64)
-    if steps.size:
-        packed = PackedPatternTable(
-            table, int(index_col[steps].max()) + 1
-        )
-        pre_states = packed.replay(index_col[steps], actual_exits[steps])
-        predicted[steps] = np.minimum(
-            packed.predictions_of(pre_states), n_exits_col[steps] - 1
-        )
+    predicted, steps, pre_states = replay_clamped(
+        table, index_col, actual_exits, headers.n_exits[rows]
+    )
     wrong = predicted != actual_exits
     misses = int(wrong.sum())
 
@@ -237,7 +182,7 @@ def _batched_speculative_stats(
             window = None
             n_path = None
         for _ in range(wrong_path_depth):
-            live = current != _NO_TARGET
+            live = current != ABSENT
             if not live.any():
                 break
             current = current[live]
@@ -245,7 +190,7 @@ def _batched_speculative_stats(
             if depth:
                 window = window[live]
                 n_path = n_path[live]
-            walk_rows, walk_known = headers.rows_of(current)
+            walk_rows, walk_known = headers.lookup(current)
             if not walk_known.all():
                 keep = walk_known
                 current = current[keep]
@@ -314,28 +259,28 @@ def simulate_speculative_exit_prediction(
         )
         if stats is not None:
             return stats
-    info: dict[int, tuple[int, tuple]] = {}
-    for task in workload.compiled.program.tfg:
-        info[task.address] = (
-            task.n_exits,
-            tuple(e.target for e in task.header.exits),
-        )
-
+    n_exits_col = exit_count_column(workload, trace.task_addr).tolist()
+    targets_of = {
+        task.address: tuple(e.target for e in task.header.exits)
+        for task in workload.compiled.program.tfg
+    }
     task_addrs = trace.task_addr.tolist()
     actual_exits = trace.exit_index.tolist()
 
     trials = 0
     misses = 0
     wrong_path_predictions = 0
-    for addr, actual in zip(task_addrs, actual_exits):
-        n_exits, targets = info[addr]
+    for addr, actual, n_exits in zip(task_addrs, actual_exits, n_exits_col):
         predicted = predictor.predict(addr, n_exits)
         trials += 1
         wrong = predicted != actual
         if wrong:
             misses += 1
             wrong_path_predictions += _pollute(
-                predictor, info, targets[predicted], wrong_path_depth
+                predictor,
+                targets_of,
+                targets_of[addr][predicted],
+                wrong_path_depth,
             )
         predictor.resolve(addr, n_exits, actual, was_wrong_path=wrong)
     return RelaxedPredictionStats(
@@ -347,7 +292,7 @@ def simulate_speculative_exit_prediction(
 
 def _pollute(
     predictor: SpeculativePathPredictor,
-    info: dict[int, tuple[int, tuple]],
+    targets_of: dict[int, tuple],
     wrong_target: int | None,
     depth: int,
 ) -> int:
@@ -360,11 +305,10 @@ def _pollute(
     steps = 0
     current = wrong_target
     while current is not None and steps < depth:
-        entry = info.get(current)
-        if entry is None:
+        targets = targets_of.get(current)
+        if targets is None:
             break
-        n_exits, targets = entry
-        predicted = predictor.predict_wrong_path(current, n_exits)
+        predicted = predictor.predict_wrong_path(current, len(targets))
         steps += 1
         current = targets[predicted]
     return steps

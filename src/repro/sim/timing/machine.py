@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.isa.headers import HeaderTable
 from repro.predictors.base import NextTaskPredictor
 from repro.sim.functional import batched_task_prediction_column
 from repro.sim.timing.config import TimingConfig
@@ -138,33 +139,17 @@ def _batched_timing(
     )
     if config.dependence_aware:
 
-        def dependence_mask() -> np.ndarray | None:
-            program_tasks = workload.compiled.program.tfg
-            addr_table = np.array(
-                sorted(task.address for task in program_tasks),
-                dtype=np.int64,
-            )
-            create_table = np.zeros(len(addr_table), dtype=np.int64)
-            use_table = np.zeros(len(addr_table), dtype=np.int64)
-            for task in program_tasks:
-                row = int(np.searchsorted(addr_table, task.address))
-                create_table[row] = task.header.create_mask
-                use_table[row] = task.use_mask
-            addrs = int64_column(trace.task_addr)
-            rows = np.searchsorted(addr_table, addrs)
-            rows = np.minimum(rows, len(addr_table) - 1)
-            if np.any(addr_table[rows] != addrs):
-                return None  # unknown task: let the stepped loop raise
-            prev_create = np.empty(len(addrs), dtype=np.int64)
+        def dependence_mask() -> np.ndarray:
+            headers = HeaderTable.of(workload.compiled.program)
+            rows = headers.rows(trace.task_addr)
+            prev_create = np.empty(len(rows), dtype=np.int64)
             prev_create[0] = 0xFFFF  # pre-trace state feeds task 0
-            prev_create[1:] = create_table[rows[:-1]]
-            return (prev_create & use_table[rows]) != 0
+            prev_create[1:] = headers.create_mask[rows[:-1]]
+            return (prev_create & headers.use_mask[rows]) != 0
 
         dependent = _CYCLE_CACHE.get(
             (trace.task_addr, workload), "dependence", dependence_mask
         )
-        if dependent is None:
-            return None
         forward_stalls = np.where(dependent, forward_stalls, 0)
 
     codes = np.where(correct, CODE_CORRECT, CODE_MISPREDICT)
@@ -236,12 +221,12 @@ def simulate_timing(
     predict = predictor.predict
     update = predictor.update
 
-    dependence_masks: dict[int, tuple[int, int]] | None = None
+    create_masks: list[int] | None = None
     if config.dependence_aware:
-        dependence_masks = {
-            task.address: (task.header.create_mask, task.use_mask)
-            for task in workload.compiled.program.tfg
-        }
+        headers = HeaderTable.of(workload.compiled.program)
+        rows = headers.rows(trace.task_addr)
+        create_masks = headers.create_mask[rows].tolist()
+        use_masks = headers.use_mask[rows].tolist()
 
     issue_width = config.issue_width
     startup = config.task_startup_cycles
@@ -274,15 +259,14 @@ def simulate_timing(
             + intra * intra_penalty
         )
         start = max(dispatch, ring.unit_free_time())
-        if dependence_masks is None:
+        if create_masks is None:
             forward_stall = int(forward_fraction * exec_cycles)
         else:
-            create_mask, use_mask = dependence_masks[addr]
-            dependent = bool(prev_create_mask & use_mask)
+            dependent = bool(prev_create_mask & use_masks[i])
             forward_stall = (
                 int(forward_fraction * exec_cycles) if dependent else 0
             )
-            prev_create_mask = create_mask
+            prev_create_mask = create_masks[i]
         finish = max(start + exec_cycles, prev_finish + forward_stall)
         commit = max(finish, prev_commit + commit_interval)
         ring.occupy_and_commit(commit)

@@ -16,16 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import TraceError
-from repro.isa.controlflow import ControlFlowType
+from repro.isa.controlflow import CF_TYPE_CODES, ControlFlowType
 
-#: Stable numeric codes for control-flow types inside trace arrays.
-CF_TYPE_CODES: dict[ControlFlowType, int] = {
-    ControlFlowType.BRANCH: 0,
-    ControlFlowType.CALL: 1,
-    ControlFlowType.RETURN: 2,
-    ControlFlowType.INDIRECT_BRANCH: 3,
-    ControlFlowType.INDIRECT_CALL: 4,
-}
 CF_TYPE_FROM_CODE: dict[int, ControlFlowType] = {
     code: cf for cf, code in CF_TYPE_CODES.items()
 }

@@ -160,16 +160,3 @@ def final_fsm_states(
         finals[group_ids] = post
     return finals
 
-
-def running_max_with_drift(
-    values: np.ndarray, drift: int
-) -> np.ndarray:
-    """``out[i] = max_{j <= i}(values[j] + (i - j) * drift)``.
-
-    The max-plus prefix scan behind FIFO-commit chains: rewriting the
-    recurrence ``c_i = max(v_i, c_{i-1} + drift)`` as a prefix maximum of
-    ``values[j] - j * drift`` plus ``i * drift`` turns it into one
-    ``np.maximum.accumulate`` — no Python loop.
-    """
-    offsets = np.arange(len(values), dtype=np.int64) * np.int64(drift)
-    return np.maximum.accumulate(values - offsets) + offsets

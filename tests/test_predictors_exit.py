@@ -1,6 +1,9 @@
 """Tests for real and ideal exit predictors."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import PredictorConfigError
 from repro.predictors.exit_predictors import (
@@ -15,8 +18,12 @@ from repro.predictors.ideal import (
     IdealPathPredictor,
     IdealPerTaskPredictor,
 )
-from repro.predictors.pht import PatternHistoryTable
-from repro.predictors.automata import LastExitHysteresis
+from repro.predictors.pht import PackedPatternTable, PatternHistoryTable
+from repro.predictors.automata import (
+    LastExitHysteresis,
+    make_automaton_factory,
+    tabulate_automaton,
+)
 
 
 def drive(predictor, sequence):
@@ -26,6 +33,34 @@ def drive(predictor, sequence):
         predictions.append(predictor.predict(addr, n_exits))
         predictor.update(addr, n_exits, actual)
     return predictions
+
+
+class TestPackedPatternTable:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=80,
+        ),
+        st.integers(min_value=0, max_value=80),
+        st.sampled_from(["LE", "LEH-1", "LEH-2"]),
+    )
+    def test_consecutive_slices_replay_like_one_call(
+        self, steps, split, automaton
+    ):
+        table = tabulate_automaton(make_automaton_factory(automaton), 4)
+        group_ids = np.array([g for g, _ in steps], dtype=np.int64)
+        inputs = np.array([x for _, x in steps], dtype=np.int64)
+        whole = PackedPatternTable(table, 6)
+        sliced = PackedPatternTable(table, 6)
+        expected = whole.replay(group_ids, inputs)
+        first = sliced.replay(group_ids[:split], inputs[:split])
+        second = sliced.replay(group_ids[split:], inputs[split:])
+        assert np.concatenate((first, second)).tolist() == expected.tolist()
+        assert sliced.state_column.tolist() == whole.state_column.tolist()
+        assert sliced.states_touched() == whole.states_touched()
 
 
 class TestPatternHistoryTable:

@@ -7,8 +7,10 @@ event-compressed advance — must produce results *equal* to the stepped
 scalar reference, not merely close. These tests sweep the full scheme
 grid (every realistic Table 4 predictor) over all five synthetic
 workload profiles, vary the machine configuration (ring size,
-penalties, forwarding), and run one checkpoint-resumed sweep to show
-records served from a checkpoint store match a fresh vectorized run.
+penalties, forwarding, dependence-aware forwarding), gate speculation
+by confidence, compare the functional task-prediction and confidence
+statistics, and run one checkpoint-resumed sweep to show records
+served from a checkpoint store match a fresh vectorized run.
 
 (`repro.sim.timing.scan` points here as the scan's equivalence proof.)
 """
@@ -22,11 +24,16 @@ from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.experiments.table4 import SCHEMES, _make_predictor
 from repro.evalx.registry import run_experiment
+from repro.predictors.confidence import (
+    ResettingConfidenceEstimator,
+    simulate_confidence,
+)
 from repro.predictors.folding import DolcSpec
 from repro.predictors.speculative import (
     REPAIR_POLICIES,
     SpeculativePathPredictor,
 )
+from repro.sim.functional import simulate_task_prediction
 from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import TimingConfig, simulate_timing
 from repro.sim.timing.detailed import simulate_timing_detailed
@@ -46,7 +53,11 @@ _CONFIGS = {
         forward_fraction=1.0, task_mispredict_penalty=12
     ),
     "long-tasks": TimingConfig(task_startup_cycles=16, issue_width=2),
+    "dependence-aware": TimingConfig(dependence_aware=True),
 }
+
+#: Estimator index of the gated-timing and confidence runs (PATH's spec).
+_GATE_SPEC = DolcSpec.parse("7-5-7-8(3)")
 
 
 class TestTimingBitIdentity:
@@ -62,6 +73,23 @@ class TestTimingBitIdentity:
         )
         assert batched == stepped
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_confidence_gated(self, name, scheme):
+        workload = load_workload(name, n_tasks=_TASKS)
+        stepped, batched = (
+            simulate_timing(
+                workload,
+                _make_predictor(scheme, workload),
+                confidence_gate=ResettingConfidenceEstimator(
+                    _GATE_SPEC, threshold=2
+                ),
+                vectorize=vectorize,
+            )
+            for vectorize in (False, True)
+        )
+        assert batched == stepped
+
     @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
     @pytest.mark.parametrize("scheme", ("PATH", "GLOBAL"))
     def test_machine_configurations(self, config_name, scheme):
@@ -74,6 +102,39 @@ class TestTimingBitIdentity:
         batched = simulate_timing(
             workload, _make_predictor(scheme, workload),
             config=config, vectorize=True,
+        )
+        assert batched == stepped
+
+
+class TestFunctionalBitIdentity:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_task_prediction(self, name, scheme):
+        workload = load_workload(name, n_tasks=_TASKS)
+        stepped, batched = (
+            simulate_task_prediction(
+                workload,
+                _make_predictor(scheme, workload),
+                vectorize=vectorize,
+            )
+            for vectorize in (False, True)
+        )
+        assert batched == stepped
+
+    @pytest.mark.parametrize(
+        "scheme", [scheme for scheme in SCHEMES if scheme != "Perfect"]
+    )
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_confidence(self, name, scheme):
+        workload = load_workload(name, n_tasks=_TASKS)
+        stepped, batched = (
+            simulate_confidence(
+                workload,
+                _make_predictor(scheme, workload).exit_predictor,
+                ResettingConfidenceEstimator(_GATE_SPEC),
+                vectorize=vectorize,
+            )
+            for vectorize in (False, True)
         )
         assert batched == stepped
 

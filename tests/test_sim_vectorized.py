@@ -3,19 +3,33 @@
 Every predictor that advertises a batched fast path (``batch_plan``,
 ``batch_slot_ids``, ``predict_column``) is checked here against the
 generic loop (``vectorize=False``) on real workloads — same misses, same
-states, same storage, bit for bit.
+states, same storage, bit for bit. Both paths of every entry point that
+reads task headers must also fail the same typed way on a trace step
+that starts at no task.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.errors import SimulationError
+from repro.evalx.experiments.table4 import _make_predictor
+from repro.predictors.confidence import (
+    ResettingConfidenceEstimator,
+    simulate_confidence,
+)
+from repro.predictors.exit_predictors import PathExitPredictor
+from repro.predictors.folding import DolcSpec
 from repro.predictors.ideal import (
     IdealGlobalPredictor,
     IdealPathPredictor,
     IdealPerTaskPredictor,
 )
+from repro.predictors.speculative import SpeculativePathPredictor
 from repro.predictors.static_hints import StaticHintExitPredictor
+from repro.predictors.task_predictor import PerfectTaskPredictor
 from repro.predictors.ttb import (
     IdealCorrelatedTargetBuffer,
     TaskTargetBuffer,
@@ -23,7 +37,11 @@ from repro.predictors.ttb import (
 from repro.sim.functional import (
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
+    simulate_task_prediction,
 )
+from repro.sim.relaxed import simulate_speculative_exit_prediction
+from repro.sim.timing import TimingConfig, simulate_timing
+from repro.synth.workloads import load_workload
 
 _SCHEMES = (IdealGlobalPredictor, IdealPerTaskPredictor, IdealPathPredictor)
 _DEPTHS = (0, 1, 3, 7)
@@ -124,3 +142,55 @@ class TestTargetBufferKernels:
             vectorize=True,
         )
         assert batched == looped
+
+
+_SPEC = DolcSpec.parse("7-5-7-8(3)")
+_UNKNOWN_TASK = 0x7FFF0
+
+#: Every entry point that reads task headers, as (workload, vectorize).
+_HEADER_READERS = {
+    "exit": lambda w, v: simulate_exit_prediction(
+        w, PathExitPredictor(_SPEC), vectorize=v
+    ),
+    "task": lambda w, v: simulate_task_prediction(
+        w, _make_predictor("PATH", w), vectorize=v
+    ),
+    "speculative": lambda w, v: simulate_speculative_exit_prediction(
+        w, SpeculativePathPredictor(_SPEC), vectorize=v
+    ),
+    "confidence": lambda w, v: simulate_confidence(
+        w,
+        PathExitPredictor(_SPEC),
+        ResettingConfidenceEstimator(_SPEC),
+        vectorize=v,
+    ),
+    "timing": lambda w, v: simulate_timing(
+        w, _make_predictor("PATH", w), vectorize=v
+    ),
+    "timing-dependence-aware": lambda w, v: simulate_timing(
+        w,
+        PerfectTaskPredictor(w.trace),
+        config=TimingConfig(dependence_aware=True),
+        vectorize=v,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def unknown_task_workload():
+    """A 2,000-task gcc trace whose step 1,000 starts at no task."""
+    workload = load_workload("gcc", n_tasks=2_000)
+    assert _UNKNOWN_TASK not in workload.compiled.program
+    task_addr = workload.trace.task_addr.copy()
+    task_addr[1_000] = _UNKNOWN_TASK
+    trace = dataclasses.replace(workload.trace, task_addr=task_addr)
+    return dataclasses.replace(workload, trace=trace)
+
+
+@pytest.mark.parametrize("vectorize", [True, False])
+@pytest.mark.parametrize("entry_point", sorted(_HEADER_READERS))
+def test_unknown_task_is_a_typed_failure(
+    unknown_task_workload, entry_point, vectorize
+):
+    with pytest.raises(SimulationError, match="unknown task 0x7fff0"):
+        _HEADER_READERS[entry_point](unknown_task_workload, vectorize)
