@@ -39,7 +39,7 @@ _PENALTIES = (3, 40)
 
 def _predictor(workload):
     return HeaderTaskPredictor(
-        program=workload.compiled.program,
+        program=workload.headers,
         exit_predictor=PathExitPredictor(DolcSpec.parse(_SPEC)),
         cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse("5-5-6-7(3)")),
         ras=ReturnAddressStack(depth=32),

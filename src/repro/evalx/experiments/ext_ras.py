@@ -36,7 +36,7 @@ def _cell(name: str, tasks: int, depths: tuple[int, ...]) -> list[float]:
     rates = []
     for depth in depths:
         predictor = HeaderTaskPredictor(
-            program=workload.compiled.program,
+            program=workload.headers,
             exit_predictor=PathExitPredictor(
                 DolcSpec.parse(_EXIT_SPEC)
             ),

@@ -37,6 +37,8 @@ def _workload_for_seed(name: str, seed_offset: int, n_tasks: int) -> Workload:
     profile = get_profile(name)
     if seed_offset:
         profile = replace(profile, seed=profile.seed + seed_offset)
+    # A reseeded profile has no trace-cache entry: compile and execute
+    # its own program.
     program_cfg = SyntheticProgramGenerator(profile).generate()
     compiled = compile_program(
         program_cfg,

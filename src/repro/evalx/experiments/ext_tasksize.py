@@ -36,6 +36,8 @@ _SPEC = "6-5-8-9(3)"
 
 def _build_workload(name: str, cap: int, n_tasks: int) -> Workload:
     profile = replace(get_profile(name), max_blocks_per_task=cap)
+    # A re-partitioned program has no trace-cache entry: compile and
+    # execute its own.
     program_cfg = SyntheticProgramGenerator(profile).generate()
     compiled = compile_program(
         program_cfg,

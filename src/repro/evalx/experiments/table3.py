@@ -45,7 +45,6 @@ PAPER_EXIT_PREDICTOR = {
 def _cell(name: str, tasks: int) -> dict[str, float]:
     """Both Table 3 prediction methods on one benchmark."""
     workload = load_workload(name, n_tasks=tasks)
-    program = workload.compiled.program
 
     cttb_only = CttbOnlyTaskPredictor(
         CorrelatedTaskTargetBuffer(DolcSpec.parse(CTTB_ONLY_SPEC))
@@ -53,7 +52,7 @@ def _cell(name: str, tasks: int) -> dict[str, float]:
     only_stats = simulate_task_prediction(workload, cttb_only)
 
     header_predictor = HeaderTaskPredictor(
-        program=program,
+        program=workload.headers,
         exit_predictor=PathExitPredictor(DolcSpec.parse(_EXIT_SPEC)),
         cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse(SMALL_CTTB_SPEC)),
         ras=ReturnAddressStack(depth=32),

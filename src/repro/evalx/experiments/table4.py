@@ -61,7 +61,6 @@ def _make_predictor(
     scheme: str, workload: Workload
 ) -> NextTaskPredictor:
     """Build the scheme's next-task predictor over this workload."""
-    program = workload.compiled.program
     if scheme == "Perfect":
         return PerfectTaskPredictor(workload.trace)
     if scheme == "Simple":
@@ -77,7 +76,7 @@ def _make_predictor(
     else:  # PATH
         exit_predictor = PathExitPredictor(DolcSpec.parse(_PATH_SPEC))
     return HeaderTaskPredictor(
-        program=program,
+        program=workload.headers,
         exit_predictor=exit_predictor,
         cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse(_SMALL_CTTB_SPEC)),
         ras=ReturnAddressStack(depth=32),

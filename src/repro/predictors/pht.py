@@ -92,7 +92,6 @@ class PackedPatternTable:
             raise PredictorConfigError("need n_groups >= 0")
         self._table = table
         self._states = np.zeros(n_groups, dtype=np.int64)
-        self._touched = np.zeros(n_groups, dtype=bool)
 
     @property
     def table(self) -> AutomatonTable:
@@ -129,17 +128,11 @@ class PackedPatternTable:
             len(self._states),
             initial_states=self._states,
         )
-        if len(group_ids):
-            self._touched[group_ids] = True
         return pre_states
 
     def predictions_of(self, states: np.ndarray) -> np.ndarray:
         """Predicted exit of each state id in ``states``."""
         return self._table.predictions[states]
-
-    def states_touched(self) -> int:
-        """Distinct entries exercised so far (Figure 11's metric)."""
-        return int(self._touched.sum())
 
 
 def replay_clamped(

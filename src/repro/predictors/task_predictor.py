@@ -32,7 +32,7 @@ from repro.predictors.ttb import (
 from repro.synth.trace import TaskTrace
 from repro.utils.memo import DerivedColumnCache, int64_column
 
-#: Columns derived from (trace, program) pairs that every scheme in a
+#: Columns derived from (trace, headers) pairs that every scheme in a
 #: sweep re-derives identically: the per-task header dict of the stepped
 #: path, the actual call/return stack timeline, target-buffer entry
 #: timelines.
@@ -99,43 +99,33 @@ def _ras_timeline(
     return tops[events_before]
 
 
-class _TaskInfo:
-    """Flattened per-task header facts for fast lookup."""
-
-    __slots__ = ("n_exits", "cf_codes", "targets", "return_addrs")
-
-    def __init__(self, n_exits, cf_codes, targets, return_addrs):
-        self.n_exits = n_exits
-        self.cf_codes = cf_codes
-        self.targets = targets
-        self.return_addrs = return_addrs
-
-
-def _build_task_info(program: MultiscalarProgram) -> dict[int, _TaskInfo]:
-    info: dict[int, _TaskInfo] = {}
-    for task in program.tfg:
-        exits = task.header.exits
-        info[task.address] = _TaskInfo(
-            n_exits=len(exits),
-            cf_codes=tuple(CF_TYPE_CODES[e.cf_type] for e in exits),
-            targets=tuple(e.target for e in exits),
-            return_addrs=tuple(e.return_address for e in exits),
-        )
-    return info
+def _build_task_info(headers: HeaderTable) -> dict[int, tuple]:
+    """Task address -> (cf codes, targets, return addresses) of its exits."""
+    columns = [
+        headers.exit_rows(column)
+        for column in (headers.cf_codes, headers.targets, headers.return_addrs)
+    ]
+    return {addr: tuple(rows[addr] for rows in columns) for addr in columns[0]}
 
 
 class HeaderTaskPredictor(NextTaskPredictor):
-    """Exit predictor + header targets + RAS + CTTB (the paper's design)."""
+    """Exit predictor + header targets + RAS + CTTB (the paper's design).
+
+    ``program`` supplies the task headers: a program, or its
+    :class:`HeaderTable` (such as a workload's ``headers``).
+    """
 
     def __init__(
         self,
-        program: MultiscalarProgram,
+        program: MultiscalarProgram | HeaderTable,
         exit_predictor: ExitPredictor,
         cttb: CorrelatedTaskTargetBuffer,
         ras: ReturnAddressStack | None = None,
     ) -> None:
-        self._program = program
-        self._info_cache: dict[int, _TaskInfo] | None = None
+        if not isinstance(program, HeaderTable):
+            program = HeaderTable.of(program)
+        self._headers = program
+        self._info_cache: dict[int, tuple] | None = None
         self._exit_predictor = exit_predictor
         self._cttb = cttb
         self._ras = ras if ras is not None else ReturnAddressStack(depth=32)
@@ -146,19 +136,19 @@ class HeaderTaskPredictor(NextTaskPredictor):
         return self._exit_predictor
 
     @property
-    def _info(self) -> dict[int, _TaskInfo]:
+    def _info(self) -> dict[int, tuple]:
         # Built lazily: batched runs resolve headers through the
         # HeaderTable columns and never need the stepped path's dict.
         info = self._info_cache
         if info is None:
-            program = self._program
+            headers = self._headers
             info = _DERIVED.get(
-                (program,), "task-info", lambda: _build_task_info(program)
+                (headers,), "task-info", lambda: _build_task_info(headers)
             )
             self._info_cache = info
         return info
 
-    def _task(self, task_addr: int) -> _TaskInfo:
+    def _task(self, task_addr: int) -> tuple:
         try:
             return self._info[task_addr]
         except KeyError:
@@ -167,15 +157,15 @@ class HeaderTaskPredictor(NextTaskPredictor):
             ) from None
 
     def predict(self, task_addr: int) -> int:
-        task = self._task(task_addr)
-        exit_index = self._exit_predictor.predict(task_addr, task.n_exits)
-        cf_code = task.cf_codes[exit_index]
+        cf_codes, targets, _ = self._task(task_addr)
+        exit_index = self._exit_predictor.predict(task_addr, len(cf_codes))
+        cf_code = cf_codes[exit_index]
         if cf_code == _CF_RETURN:
             predicted = self._ras.peek()
         elif cf_code in (_CF_IBRANCH, _CF_ICALL):
             predicted = self._cttb.predict(task_addr)
         else:  # BRANCH / CALL: the compiler put the target in the header
-            predicted = task.targets[exit_index]
+            predicted = targets[exit_index]
         return predicted if predicted is not None else NO_PREDICTION
 
     def update(
@@ -185,8 +175,8 @@ class HeaderTaskPredictor(NextTaskPredictor):
         actual_cf_code: int,
         actual_next_addr: int,
     ) -> None:
-        task = self._task(task_addr)
-        self._exit_predictor.update(task_addr, task.n_exits, actual_exit)
+        cf_codes, _, return_addrs = self._task(task_addr)
+        self._exit_predictor.update(task_addr, len(cf_codes), actual_exit)
         if actual_cf_code in (_CF_IBRANCH, _CF_ICALL):
             self._cttb.update(task_addr, actual_next_addr)
         self._cttb.observe_step(task_addr)
@@ -195,7 +185,7 @@ class HeaderTaskPredictor(NextTaskPredictor):
         if actual_cf_code == _CF_RETURN:
             self._ras.pop()
         elif actual_cf_code in (_CF_CALL, _CF_ICALL):
-            return_addr = task.return_addrs[actual_exit]
+            return_addr = return_addrs[actual_exit]
             if return_addr is None:
                 raise SimulationError(
                     f"call exit {actual_exit} of task {task_addr:#x} "
@@ -236,8 +226,7 @@ class HeaderTaskPredictor(NextTaskPredictor):
         slot_ids = slot_fn(addrs)
         if slot_ids is None:
             return None
-        program = self._program
-        headers = HeaderTable.of(program)
+        headers = self._headers
         rows = headers.rows(task_addrs)
         predicted_exits = int64_column(predicted_exits)
         actual_exits = int64_column(actual_exits)
@@ -253,7 +242,7 @@ class HeaderTaskPredictor(NextTaskPredictor):
         # they are identical for every scheme over a given trace — they
         # are built once and shared; only the read masks differ per cell.
         ras_top = _DERIVED.get(
-            (task_addrs, cf_codes, actual_exits, program),
+            (task_addrs, cf_codes, actual_exits, headers),
             ("ras-top", self._ras.depth),
             lambda: _ras_timeline(
                 cf_codes,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.isa.headers import HeaderTable
 from repro.predictors.base import NextTaskPredictor
 from repro.sim.functional import batched_task_prediction_column
 from repro.sim.timing.config import TimingConfig
@@ -140,7 +139,7 @@ def _batched_timing(
     if config.dependence_aware:
 
         def dependence_mask() -> np.ndarray:
-            headers = HeaderTable.of(workload.compiled.program)
+            headers = workload.headers
             rows = headers.rows(trace.task_addr)
             prev_create = np.empty(len(rows), dtype=np.int64)
             prev_create[0] = 0xFFFF  # pre-trace state feeds task 0
@@ -223,7 +222,7 @@ def simulate_timing(
 
     create_masks: list[int] | None = None
     if config.dependence_aware:
-        headers = HeaderTable.of(workload.compiled.program)
+        headers = workload.headers
         rows = headers.rows(trace.task_addr)
         create_masks = headers.create_mask[rows].tolist()
         use_masks = headers.use_mask[rows].tolist()

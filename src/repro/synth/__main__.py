@@ -44,6 +44,7 @@ def _cmd_info(name: str, n_tasks: int | None) -> int:
     workload = load_workload(name, n_tasks=n_tasks)
     from repro.isa.display import format_program_summary
 
+    # The summary describes the whole program, so this builds one.
     print(format_program_summary(workload.compiled.program))
     print()
     report = validate_workload(workload)

@@ -23,12 +23,16 @@ CF_TYPE_FROM_CODE: dict[int, ControlFlowType] = {
 }
 
 def _columns_digest(arrays: dict, program_name: str) -> str:
-    """SHA-256 over every column's name, dtype, shape, and bytes."""
+    """SHA-256 over every column's name, dtype, shape, and bytes.
+
+    Trace columns come first, then any extra columns by name.
+    """
     import hashlib
 
     digest = hashlib.sha256()
     digest.update(program_name.encode("utf-8"))
-    for name in _FIELDS:
+    extras = sorted(name for name in arrays if name not in _FIELDS)
+    for name in (*_FIELDS, *extras):
         column = np.asarray(arrays[name])
         digest.update(
             f"\n{name}:{column.dtype.str}:{column.shape}\n".encode("utf-8")
@@ -107,15 +111,18 @@ class TaskTrace:
             program_name=self.program_name,
         )
 
-    def save(self, path: Path | str) -> None:
+    def save(self, path: Path | str, extra: dict | None = None) -> None:
         """Save the trace to a compressed .npz file.
 
         The file embeds a SHA-256 checksum over every column, so a
         record damaged after its atomic publication (bad sector, torn
         copy, deliberate chaos-test corruption) is detected at load
         time instead of silently feeding wrong data to a simulator.
+        ``extra`` columns are stored beside the trace's, under the same
+        checksum; :meth:`load` reads them back.
         """
         arrays = {name: getattr(self, name) for name in _FIELDS}
+        arrays.update(extra or {})
         np.savez_compressed(
             Path(path),
             program_name=np.array(self.program_name),
@@ -124,19 +131,26 @@ class TaskTrace:
         )
 
     @classmethod
-    def load(cls, path: Path | str) -> "TaskTrace":
+    def load(
+        cls, path: Path | str, extra: dict | None = None
+    ) -> "TaskTrace":
         """Load a trace previously written by :meth:`save`.
 
         Raises :class:`~repro.errors.TraceError` when the embedded
         checksum does not match the loaded columns (files written
         before checksums existed load unverified). The trace cache
-        treats that as a miss and regenerates.
+        treats that as a miss and regenerates. Columns saved as
+        ``extra`` are put into ``extra`` when a dict is given.
         """
         with np.load(Path(path)) as data:
             missing = [name for name in _FIELDS if name not in data]
             if missing:
                 raise TraceError(f"trace file missing columns: {missing}")
-            arrays = {name: data[name] for name in _FIELDS}
+            arrays = {
+                name: data[name]
+                for name in data.files
+                if name not in ("program_name", "checksum")
+            }
             program_name = str(data["program_name"])
             if "checksum" in data:
                 stored = str(data["checksum"])
@@ -147,7 +161,10 @@ class TaskTrace:
                         f"({computed[:12]}... != {stored[:12]}...): "
                         "file damaged after write"
                     )
-            return cls(**arrays, program_name=program_name)
+        fields = {name: arrays.pop(name) for name in _FIELDS}
+        if extra is not None:
+            extra.update(arrays)
+        return cls(**fields, program_name=program_name)
 
 
 def _saturated(counts: list[int]) -> np.ndarray:

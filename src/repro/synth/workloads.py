@@ -3,8 +3,10 @@
 `load_workload("gcc")` is the one-stop entry point used by examples, tests
 and the experiment harness: it generates the profile's synthetic program,
 compiles it to tasks, executes it to the requested trace length, and caches
-both in memory (per process) and on disk (traces only, under
-``.repro-cache/``) so repeated experiment runs don't regenerate.
+the trace with its program's task headers in memory (per process) and on
+disk (under ``.repro-cache/``) so repeated experiment runs don't
+regenerate. The simulators read only the trace and the headers, so a warm
+disk entry serves a workload without building its program at all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass
+import zlib
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -21,6 +23,7 @@ import numpy as np
 from repro.compiler import PartitionConfig, compile_program
 from repro.errors import TraceError
 from repro.compiler.compiled import CompiledProgram
+from repro.isa.headers import HeaderTable
 from repro.synth.executor import TraceExecutor
 from repro.synth.generator import (
     GENERATOR_VERSION,
@@ -38,30 +41,52 @@ _CACHE_ENV = "REPRO_CACHE_DIR"
 #: orphaned record temp files left by killed runs.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT_DIR"
 
+#: Cache-entry layout, part of the file name so no other layout is read:
+#: ``th1`` is the trace plus its program's header columns.
+_ENTRY_FORMAT = "th1"
 
-@dataclass(frozen=True)
+
 class Workload:
-    """A ready-to-simulate workload: profile, compiled program, and trace."""
+    """A ready-to-simulate workload: profile, trace and task headers.
 
-    profile: BenchmarkProfile
-    compiled: CompiledProgram
-    trace: TaskTrace
+    The simulators read only ``trace`` and ``headers``; ``compiled``,
+    when not given, is built from ``profile`` on first access.
+    """
+
+    def __init__(
+        self,
+        profile: BenchmarkProfile,
+        compiled: CompiledProgram | None,
+        trace: TaskTrace,
+        headers: HeaderTable | None = None,
+    ) -> None:
+        self.profile = profile
+        self.trace = trace
+        self._compiled = compiled
+        self._headers = headers
 
     @property
     def name(self) -> str:
         """Benchmark name (profile name)."""
         return self.profile.name
 
-    def exit_counts(self) -> dict[int, int]:
-        """Map task address -> number of header exits (simulator helper)."""
-        return {
-            task.address: task.n_exits
-            for task in self.compiled.program.tfg
-        }
+    @property
+    def compiled(self) -> CompiledProgram:
+        """The compiled program, built from ``profile`` on first access."""
+        if self._compiled is None:
+            self._compiled = _compile(self.profile)
+        return self._compiled
+
+    @property
+    def headers(self) -> HeaderTable:
+        """The task headers: the stored table, else the compiled program's."""
+        if self._headers is None:
+            self._headers = HeaderTable.of(self.compiled.program)
+        return self._headers
 
 
-_program_cache: dict[str, CompiledProgram] = {}
-_trace_cache: dict[tuple[str, int], TaskTrace] = {}
+_program_cache: dict[BenchmarkProfile, CompiledProgram] = {}
+_trace_cache: dict[tuple[str, int], tuple[TaskTrace, HeaderTable]] = {}
 
 #: Monotonically increasing per-process cache accounting. The parallel
 #: scheduler snapshots these around each cell and reports the deltas in
@@ -84,21 +109,25 @@ def cache_counters() -> dict[str, int]:
 
 def build_program(name: str) -> CompiledProgram:
     """Generate and compile the named benchmark's program (memoised)."""
-    compiled = _program_cache.get(name)
+    return _compile(get_profile(name))
+
+
+def _compile(profile: BenchmarkProfile) -> CompiledProgram:
+    """Generate and compile ``profile``'s program (memoised per profile)."""
+    compiled = _program_cache.get(profile)
     if compiled is not None:
         _cache_stats["program_memory_hits"] += 1
-    if compiled is None:
-        _cache_stats["program_builds"] += 1
-        profile = get_profile(name)
-        program_cfg = SyntheticProgramGenerator(profile).generate()
-        compiled = compile_program(
-            program_cfg,
-            name=profile.name,
-            config=PartitionConfig(
-                max_blocks_per_task=profile.max_blocks_per_task
-            ),
-        )
-        _program_cache[name] = compiled
+        return compiled
+    _cache_stats["program_builds"] += 1
+    program_cfg = SyntheticProgramGenerator(profile).generate()
+    compiled = compile_program(
+        program_cfg,
+        name=profile.name,
+        config=PartitionConfig(
+            max_blocks_per_task=profile.max_blocks_per_task
+        ),
+    )
+    _program_cache[profile] = compiled
     return compiled
 
 
@@ -206,21 +235,21 @@ def prewarm_workload(name: str, n_tasks: int | None = None) -> str:
 def load_workload(name: str, n_tasks: int | None = None) -> Workload:
     """Return the named benchmark workload with an ``n_tasks``-long trace.
 
-    ``n_tasks`` defaults to the profile's ``default_dynamic_tasks``. Traces
-    are cached in memory and on disk keyed by (benchmark, length, seed).
+    ``n_tasks`` defaults to the profile's ``default_dynamic_tasks``. The
+    trace and its program's headers are cached in memory and on disk,
+    keyed by (benchmark, length, seed); a hit builds no program.
     """
     profile = get_profile(name)
     if n_tasks is None:
         n_tasks = profile.default_dynamic_tasks
-    compiled = build_program(name)
-
-    trace = _trace_cache.get((name, n_tasks))
-    if trace is not None:
+    entry = _trace_cache.get((name, n_tasks))
+    if entry is not None:
         _cache_stats["trace_memory_hits"] += 1
     else:
-        trace = _load_or_run(profile, compiled, n_tasks)
-        _trace_cache[(name, n_tasks)] = trace
-    return Workload(profile=profile, compiled=compiled, trace=trace)
+        entry = _load_or_run(profile, n_tasks)
+        _trace_cache[(name, n_tasks)] = entry
+    trace, headers = entry
+    return Workload(profile, _program_cache.get(profile), trace, headers)
 
 
 def _profile_fingerprint(profile: BenchmarkProfile) -> str:
@@ -235,20 +264,15 @@ def _profile_fingerprint(profile: BenchmarkProfile) -> str:
     )
 
 
-def _trace_matches_program(
-    trace: TaskTrace, compiled: CompiledProgram
-) -> bool:
-    """Cheap consistency check: every traced task must exist statically."""
-    addresses = np.fromiter(
-        (task.address for task in compiled.program.tfg), dtype=np.uint32
-    )
-    return bool(np.isin(trace.task_addr, addresses).all())
+def _trace_matches_program(trace: TaskTrace, headers: HeaderTable) -> bool:
+    """Cheap consistency check: every traced task has a stored header."""
+    return bool(np.isin(trace.task_addr, headers.addrs).all())
 
 
 def _try_load_cached(
-    cache_path: Path, compiled: CompiledProgram
-) -> TaskTrace | None:
-    """Load a cached trace, treating any damage as a cache miss.
+    cache_path: Path,
+) -> tuple[TaskTrace, HeaderTable] | None:
+    """Load a cached trace and headers, treating any damage as a miss.
 
     A parallel run killed mid-write (before atomic writes existed) or a
     truncated disk can leave an unreadable ``.npz``; regenerating is
@@ -256,12 +280,16 @@ def _try_load_cached(
     """
     if not cache_path.exists():
         return None
+    columns: dict[str, np.ndarray] = {}
     try:
-        trace = TaskTrace.load(cache_path)
-    except (OSError, ValueError, EOFError, BadZipFile, TraceError):
-        trace = None
-    if trace is not None and _trace_matches_program(trace, compiled):
-        return trace
+        trace = TaskTrace.load(cache_path, extra=columns)
+        headers = HeaderTable.from_columns(columns)
+    except (OSError, ValueError, EOFError, KeyError, BadZipFile, zlib.error,
+            TraceError):
+        pass  # torn, damaged, or written without the header columns
+    else:
+        if _trace_matches_program(trace, headers):
+            return trace, headers
     try:
         cache_path.unlink()  # corrupt, or stale from an older build
     except OSError:
@@ -269,10 +297,12 @@ def _try_load_cached(
     return None
 
 
-def _save_cached(trace: TaskTrace, cache_path: Path) -> None:
-    """Publish a trace to the disk cache atomically.
+def _save_cached(
+    trace: TaskTrace, headers: HeaderTable, cache_path: Path
+) -> None:
+    """Publish a trace and its headers to the disk cache atomically.
 
-    The trace is written to a same-directory temp file and moved into
+    The entry is written to a same-directory temp file and moved into
     place with ``os.replace``, so concurrent workers generating the same
     workload can never observe a half-written cache entry — the worst
     case is redundant generation, last writer wins. The temp name keeps
@@ -283,7 +313,7 @@ def _save_cached(trace: TaskTrace, cache_path: Path) -> None:
         f".{cache_path.stem}.tmp-{os.getpid()}.npz"
     )
     try:
-        trace.save(tmp_path)
+        trace.save(tmp_path, extra=headers.columns())
         os.replace(tmp_path, cache_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
@@ -305,20 +335,23 @@ def trace_cache_path(name: str, n_tasks: int | None = None) -> Path | None:
         n_tasks = profile.default_dynamic_tasks
     return cache_dir / (
         f"{profile.name}-{_profile_fingerprint(profile)}"
-        f"-s{profile.seed}-n{n_tasks}.npz"
+        f"-s{profile.seed}-n{n_tasks}-{_ENTRY_FORMAT}.npz"
     )
 
 
 def _load_or_run(
-    profile: BenchmarkProfile, compiled: CompiledProgram, n_tasks: int
-) -> TaskTrace:
+    profile: BenchmarkProfile, n_tasks: int
+) -> tuple[TaskTrace, HeaderTable]:
     cache_path = trace_cache_path(profile.name, n_tasks)
     if cache_path is not None:
-        cached = _try_load_cached(cache_path, compiled)
+        cached = _try_load_cached(cache_path)
         if cached is not None:
             _cache_stats["trace_disk_hits"] += 1
             return cached
     _cache_stats["trace_builds"] += 1
+    # A miss executes the program, so only a miss needs one built.
+    compiled = _compile(profile)
+    headers = HeaderTable.of(compiled.program)
     executor = TraceExecutor(
         compiled,
         seed=profile.seed,
@@ -326,8 +359,8 @@ def _load_or_run(
     )
     trace = executor.run(n_tasks)
     if cache_path is not None:
-        _save_cached(trace, cache_path)
-    return trace
+        _save_cached(trace, headers, cache_path)
+    return trace, headers
 
 
 def clear_caches() -> None:

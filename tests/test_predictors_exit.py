@@ -60,7 +60,6 @@ class TestPackedPatternTable:
         second = sliced.replay(group_ids[split:], inputs[split:])
         assert np.concatenate((first, second)).tolist() == expected.tolist()
         assert sliced.state_column.tolist() == whole.state_column.tolist()
-        assert sliced.states_touched() == whole.states_touched()
 
 
 class TestPatternHistoryTable:

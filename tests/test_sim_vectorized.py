@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.errors import SimulationError
+from repro.evalx.experiments.ext_static import _second_half_miss
 from repro.evalx.experiments.table4 import _make_predictor
 from repro.predictors.confidence import (
     ResettingConfidenceEstimator,
@@ -41,7 +42,8 @@ from repro.sim.functional import (
 )
 from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import TimingConfig, simulate_timing
-from repro.synth.workloads import load_workload
+from repro.synth.stats_view import compute_stats
+from repro.synth.workloads import Workload, load_workload
 
 _SCHEMES = (IdealGlobalPredictor, IdealPerTaskPredictor, IdealPathPredictor)
 _DEPTHS = (0, 1, 3, 7)
@@ -173,6 +175,11 @@ _HEADER_READERS = {
         config=TimingConfig(dependence_aware=True),
         vectorize=v,
     ),
+    # Figures 3/4 statistics and the static-hints study have one path.
+    "workload-stats": lambda w, v: compute_stats(w),
+    "second-half-miss": lambda w, v: _second_half_miss(
+        w, PathExitPredictor(_SPEC), len(w.trace) // 2
+    ),
 }
 
 
@@ -184,7 +191,7 @@ def unknown_task_workload():
     task_addr = workload.trace.task_addr.copy()
     task_addr[1_000] = _UNKNOWN_TASK
     trace = dataclasses.replace(workload.trace, task_addr=task_addr)
-    return dataclasses.replace(workload, trace=trace)
+    return Workload(workload.profile, workload.compiled, trace)
 
 
 @pytest.mark.parametrize("vectorize", [True, False])

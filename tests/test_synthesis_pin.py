@@ -5,6 +5,10 @@ default trace are hashed and compared with digests recorded before the
 task partitioner and the trace executor were last optimised. A change
 that alters any compiled program or any trace record fails here; one
 that is meant to do so must bump ``GENERATOR_VERSION`` and re-record.
+The bump also matters outside this file: the trace cache stores each
+program's task headers beside its trace, keyed by ``GENERATOR_VERSION``
+and the profile, so a compiler change that keeps the key would be
+served the old headers from a warm cache.
 """
 
 from __future__ import annotations
@@ -84,12 +88,26 @@ def _execute(name: str, compiled, **kwargs) -> TaskTrace:
     ).run(PIN_TASKS)
 
 
+#: Why a pin moved, and what a deliberate move must do.
+_BUMP = (
+    "{what} of {name} changed. If that is meant, bump GENERATOR_VERSION "
+    "and re-record PINNED: the trace cache keys the headers it stores on "
+    "GENERATOR_VERSION, so without the bump a warm cache keeps serving "
+    "the old headers and traces."
+)
+
+
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_compiled_headers_and_trace_match_pin(name):
     compiled = build_program(name)
-    header_pin, trace_pin = PINNED[name]
-    assert headers_digest(compiled.program) == header_pin
-    assert trace_digest(_execute(name, compiled)) == trace_pin
+    headers_pin, trace_pin = PINNED[name]
+    assert headers_digest(compiled.program) == headers_pin, _BUMP.format(
+        what="The compiled task headers", name=name
+    )
+    trace = _execute(name, compiled)
+    assert trace_digest(trace) == trace_pin, _BUMP.format(
+        what="The first 5,000 trace records", name=name
+    )
 
 
 def test_recording_dynamic_arcs_does_not_change_the_trace():

@@ -2,21 +2,40 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
+from repro.evalx.experiments.table4 import _make_predictor
+from repro.evalx.metrics import RunMetrics
+from repro.evalx.registry import EXPERIMENT_IDS, run_experiment
+from repro.isa.headers import COLUMN_NAMES, HeaderTable
+from repro.predictors.exit_predictors import PathExitPredictor
+from repro.predictors.folding import DolcSpec
+from repro.sim.functional import (
+    simulate_exit_prediction,
+    simulate_task_prediction,
+)
 from repro.synth import workloads
+from repro.synth.profiles import BENCHMARK_NAMES
+from repro.synth.workloads import build_program
 
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """Point the disk cache at a temp dir, isolating the memory cache."""
+    """Point the disk cache at a temp dir, isolating the memory caches."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     saved_traces = dict(workloads._trace_cache)
+    saved_programs = dict(workloads._program_cache)
     workloads._trace_cache.clear()
     yield tmp_path
     workloads._trace_cache.clear()
     workloads._trace_cache.update(saved_traces)
+    workloads._program_cache.update(saved_programs)
 
 
 class TestDiskCache:
@@ -243,3 +262,166 @@ class TestTraceChecksum:
         np.savez_compressed(path, **arrays)
         trace = TaskTrace.load(path)  # unverified, but not rejected
         assert len(trace) == 1500
+
+
+_UNKNOWN_TASK = 0x7FFF0
+
+
+def _counted(run) -> tuple[object, dict[str, int]]:
+    """``run()``'s result and how far it moved each cache counter."""
+    before = workloads.cache_counters()
+    result = run()
+    after = workloads.cache_counters()
+    return result, {key: after[key] - before[key] for key in after}
+
+
+def _cold_load(name: str, n_tasks: int) -> tuple[object, dict[str, int]]:
+    """Load with both memory caches empty, so only the disk can serve."""
+    workloads._trace_cache.clear()
+    workloads._program_cache.clear()
+    return _counted(lambda: workloads.load_workload(name, n_tasks=n_tasks))
+
+
+def _assert_same_table(actual: HeaderTable, expected: HeaderTable) -> None:
+    for name in COLUMN_NAMES:
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+class TestStoredHeaders:
+    """A cache entry carries its program's header columns, so a hit
+    serves a workload without building the program."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_stored_table_equals_the_programs(self, cache_dir, name):
+        workloads.load_workload(name, n_tasks=500)
+        workload, moved = _cold_load(name, 500)
+        assert moved["trace_disk_hits"] == 1
+        assert moved["program_builds"] == 0
+        _assert_same_table(
+            workload.headers, HeaderTable(build_program(name).program)
+        )
+
+    def test_program_is_built_on_first_access(self, cache_dir):
+        workloads.load_workload("compress", n_tasks=500)
+        workload, _ = _cold_load("compress", 500)
+        compiled, moved = _counted(lambda: workload.compiled)
+        assert moved["program_builds"] == 1
+        assert workload.compiled is compiled
+        _assert_same_table(workload.headers, HeaderTable(compiled.program))
+
+    def test_entry_names_carry_the_format(self, cache_dir):
+        path = workloads.trace_cache_path("compress", 500)
+        assert path.name.endswith(f"-{workloads._ENTRY_FORMAT}.npz")
+
+
+class TestDamagedEntries:
+    """Any damage to an entry is a miss: the trace and the headers are
+    rebuilt together and published again, never read as stale."""
+
+    @pytest.fixture()
+    def entry(self, cache_dir):
+        original = workloads.load_workload("compress", n_tasks=1500)
+        (path,) = cache_dir.glob("*.npz")
+        return original, path
+
+    @staticmethod
+    def _assert_regenerated(original, path) -> None:
+        workload, moved = _cold_load("compress", 1500)
+        assert moved["trace_builds"] == 1
+        assert np.array_equal(
+            workload.trace.task_addr, original.trace.task_addr
+        )
+        _assert_same_table(workload.headers, original.headers)
+        # The rebuilt entry is whole again: the next load is a disk hit.
+        again, moved = _cold_load("compress", 1500)
+        assert moved["trace_disk_hits"] == 1
+        assert moved["program_builds"] == 0
+        _assert_same_table(again.headers, original.headers)
+
+    def test_entry_without_header_columns(self, entry):
+        original, path = entry
+        original.trace.save(path)  # a valid, checksummed plain trace
+        self._assert_regenerated(original, path)
+
+    def test_entry_with_one_flipped_byte(self, entry):
+        original, path = entry
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        self._assert_regenerated(original, path)
+
+    def test_truncated_entry(self, entry):
+        original, path = entry
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        self._assert_regenerated(original, path)
+
+
+class TestWarmCacheBuildsNoProgram:
+    def test_planted_unknown_task_fails_through_the_stored_table(
+        self, cache_dir
+    ):
+        workloads.load_workload("gcc", n_tasks=2_000)
+        loaded, _ = _cold_load("gcc", 2_000)
+        assert _UNKNOWN_TASK not in loaded.headers.addrs
+        task_addr = loaded.trace.task_addr.copy()
+        task_addr[1_000] = _UNKNOWN_TASK
+        planted = workloads.Workload(
+            loaded.profile,
+            None,
+            dataclasses.replace(loaded.trace, task_addr=task_addr),
+            loaded.headers,
+        )
+        spec = DolcSpec.parse("7-5-7-8(3)")
+        runs = {
+            "exit": lambda v: simulate_exit_prediction(
+                planted, PathExitPredictor(spec), vectorize=v
+            ),
+            "task": lambda v: simulate_task_prediction(
+                planted, _make_predictor("PATH", planted), vectorize=v
+            ),
+        }
+        before = workloads.cache_counters()["program_builds"]
+        for run in runs.values():
+            for vectorize in (True, False):
+                with pytest.raises(
+                    SimulationError, match="unknown task 0x7fff0"
+                ):
+                    run(vectorize)
+        assert workloads.cache_counters()["program_builds"] == before
+
+    def test_paper_experiments_build_no_program(self, cache_dir, tmp_path):
+        for experiment_id in EXPERIMENT_IDS:
+            module = importlib.import_module(
+                f"repro.evalx.experiments.{experiment_id}"
+            )
+            for cell in module.cells(quick=True):
+                if cell.workload is not None:
+                    workloads.prewarm_workload(*cell.workload)
+        workloads._program_cache.clear()
+        for jobs in (None, 2):
+            workloads._trace_cache.clear()
+            metrics_path = tmp_path / f"metrics-{jobs}.jsonl"
+            before = workloads.cache_counters()["program_builds"]
+            with RunMetrics(metrics_path, progress=False) as metrics:
+                for experiment_id in EXPERIMENT_IDS:
+                    run_experiment(
+                        experiment_id, quick=True, jobs=jobs, metrics=metrics
+                    )
+            assert workloads.cache_counters()["program_builds"] == before
+            cells = [
+                record
+                for record in map(
+                    json.loads, metrics_path.read_text().splitlines()
+                )
+                if record["event"] == "cell"
+            ]
+            assert cells
+            assert all(record["status"] == "ok" for record in cells)
+            assert not any(
+                record.get("cache", {}).get("program_builds")
+                for record in cells
+            )
