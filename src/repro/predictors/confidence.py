@@ -161,12 +161,8 @@ def simulate_confidence(
     forms, the whole run is evaluated as numpy columns (bit-identical
     statistics); ``vectorize=False`` forces the step loop.
     """
-    # Imported here: the simulation layer depends on this package, not
-    # the other way around.
-    from repro.sim.functional import exit_count_column
-
     trace = workload.trace if limit is None else workload.trace.head(limit)
-    n_exits_col = exit_count_column(workload, trace.task_addr)
+    n_exits_col = workload.headers.n_exits_of(trace.task_addr)
     if vectorize:
         stats = _batched_confidence_stats(
             predictor, estimator, trace, n_exits_col
